@@ -10,25 +10,34 @@ namespace hkpr {
 std::vector<ScoredNode> TopKNormalized(const Graph& graph,
                                        const SparseVector& estimate,
                                        size_t k) {
-  std::vector<ScoredNode> scored;
-  scored.reserve(estimate.nnz());
-  for (const auto& e : estimate.entries()) {
-    const uint32_t d = graph.Degree(e.key);
-    if (d == 0 || e.value <= 0.0) continue;
-    scored.push_back({e.key, estimate.ValueWithOffset(e.key, d) / d});
-  }
+  // `better` is a strict total order (node ids are unique), so the k best
+  // entries and their order are the same however they are selected.
   const auto better = [](const ScoredNode& a, const ScoredNode& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.node < b.node;
   };
-  if (scored.size() > k) {
-    std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                      better);
-    scored.resize(k);
-  } else {
-    std::sort(scored.begin(), scored.end(), better);
+  std::vector<ScoredNode> top;
+  if (k == 0) return top;
+  top.reserve(std::min(k, estimate.nnz()));
+  const double offset = estimate.degree_offset();
+  // One pass over the stored entries, scoring each from its own value (no
+  // second map probe) into a heap bounded at k whose front is the worst
+  // node kept so far.
+  for (const auto& e : estimate.entries()) {
+    const uint32_t d = graph.Degree(e.key);
+    if (d == 0 || e.value <= 0.0) continue;
+    const ScoredNode node{e.key, (e.value + offset * d) / d};
+    if (top.size() < k) {
+      top.push_back(node);
+      std::push_heap(top.begin(), top.end(), better);
+    } else if (better(node, top.front())) {
+      std::pop_heap(top.begin(), top.end(), better);
+      top.back() = node;
+      std::push_heap(top.begin(), top.end(), better);
+    }
   }
-  return scored;
+  std::sort_heap(top.begin(), top.end(), better);
+  return top;
 }
 
 std::vector<ScoredNode> TopKQuery(const Graph& graph,

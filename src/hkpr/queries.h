@@ -28,7 +28,9 @@ struct ScoredNode {
 };
 
 /// The k nodes with the largest normalized HKPR in `estimate`, descending
-/// (ties broken by node id). Isolated nodes are skipped. O(nnz log k).
+/// (ties broken by node id). Isolated nodes and non-positive entries are
+/// skipped. One pass over the entries with a heap bounded at k:
+/// O(nnz log k) time, O(k) extra memory.
 std::vector<ScoredNode> TopKNormalized(const Graph& graph,
                                        const SparseVector& estimate,
                                        size_t k);

@@ -395,8 +395,8 @@ void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
   }
 }
 
-SparseVector AsyncQueryService::Compute(QueryExecutor& executor,
-                                        const Request& request) {
+CachedEstimate AsyncQueryService::Compute(QueryExecutor& executor,
+                                          const Request& request) {
   stats_.RecordComputed();
   // The executor re-seeds the plan's backend from (engine seed, query
   // index) — the exact BatchQueryEngine derivation — so the async and
@@ -404,7 +404,17 @@ SparseVector AsyncQueryService::Compute(QueryExecutor& executor,
   // bit-identical to directly invoking its chosen backend at the same
   // index. Deterministic backends ignore the re-seed and the index plays
   // no role.
-  return executor.Answer(request.seed, request.query_index, request.plan);
+  auto ranked = std::make_shared<RankedEstimate>();
+  ranked->estimate =
+      executor.Answer(request.seed, request.query_index, request.plan);
+  // Rank once, here: hits and coalesced followers asking for at most this
+  // k copy a prefix of it instead of re-ranking the whole estimate.
+  if (request.k > 0) {
+    ranked->top = TopKNormalized(*snapshot_.graph, ranked->estimate,
+                                 request.k);
+    ranked->ranked_k = request.k;
+  }
+  return ranked;
 }
 
 void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
@@ -460,8 +470,7 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
         request.cache_outcome = CacheOutcome::kMiss;
         MaybeRegisterHedge(request);
         if (traced) request.trace.compute_begin = Clock::now();
-        estimate = std::make_shared<const SparseVector>(
-            Compute(executor, request));
+        estimate = Compute(executor, request);
         if (traced) request.trace.compute_end = Clock::now();
         cache_->Complete(request.key, lookup.leader, estimate);
         break;
@@ -474,8 +483,7 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
       request.trace.cache_done = request.trace.dequeue;
       request.trace.compute_begin = Clock::now();
     }
-    estimate =
-        std::make_shared<const SparseVector>(Compute(executor, request));
+    estimate = Compute(executor, request);
     if (traced) request.trace.compute_end = Clock::now();
   }
   Fulfill(request, std::move(estimate), from_cache);
@@ -635,9 +643,13 @@ void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate,
   result.backend = std::move(request.plan.backend);
   result.backend_id = request.plan.backend_id;
   if (request.k > 0) {
-    result.top_k = TopKNormalized(*snapshot_.graph, *estimate, request.k);
+    result.top_k = estimate->TopK(*snapshot_.graph, request.k);
   }
-  result.estimate = std::move(estimate);
+  // The caller sees the plain estimate; the alias shares ownership of the
+  // whole cached value.
+  const SparseVector* vector = &estimate->estimate;
+  result.estimate = std::shared_ptr<const SparseVector>(std::move(estimate),
+                                                        vector);
   result.status = QueryStatus::kOk;
   const Clock::time_point complete = Clock::now();
   const double latency_s = SecondsBetween(request.submit_time, complete);

@@ -42,8 +42,11 @@
 // (backend id + every parameter), so two distinct plans can never serve
 // each other's entries — and the same resolved plan reached via routing,
 // an explicit override, or the default shares one entry, which is exactly
-// the dedup a cache wants. ServiceStats counts every stage; Stats()
-// returns a snapshot with p50/p95/p99 latencies.
+// the dedup a cache wants. Each computation ranks its estimate once for
+// the computing request's k and stores the ranking with it, so a top-k hit
+// copies a prefix instead of re-ranking (see RankedEstimate). ServiceStats
+// counts every stage; Stats() returns a snapshot with p50/p95/p99
+// latencies.
 //
 // The service answers on one immutable GraphSnapshot (service/graph_store.h)
 // which it co-owns for its whole lifetime: hot-swapping a graph means
@@ -183,7 +186,9 @@ struct QueryResult {
   QueryStatus status = QueryStatus::kRejected;
   /// The (possibly cached) estimate; set when status == kOk.
   std::shared_ptr<const SparseVector> estimate;
-  /// Top-k ranking; filled for SubmitTopK() requests.
+  /// Top-k ranking; filled for SubmitTopK() requests. Equal to
+  /// TopKNormalized(*estimate, k); a cache hit copies it from the ranking
+  /// stored with the estimate when that covers k.
   std::vector<ScoredNode> top_k;
   /// The resolved plan's backend: the registry name (never "auto") and its
   /// stable id. How callers observe what a routed query actually ran —
@@ -462,7 +467,9 @@ class AsyncQueryService {
   /// records it into telemetry_. Only called when tracing is enabled.
   void RecordTrace(Request& request,
                    std::chrono::steady_clock::time_point complete);
-  SparseVector Compute(QueryExecutor& executor, const Request& request);
+  /// Runs the request's plan and ranks the estimate for its k (see
+  /// RankedEstimate); the one ranking pass a computation pays.
+  CachedEstimate Compute(QueryExecutor& executor, const Request& request);
   ResultCacheKey MakeKey(const QueryPlan& plan, NodeId seed) const;
   PlanDefaults GetDefaults() const;
 

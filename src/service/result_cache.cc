@@ -31,6 +31,14 @@ uint64_t HashKey(const ResultCacheKey& key) {
 
 }  // namespace
 
+std::vector<ScoredNode> RankedEstimate::TopK(const Graph& graph,
+                                             size_t k) const {
+  if (k <= top.size() || top.size() < ranked_k) {
+    return {top.begin(), top.begin() + std::min(k, top.size())};
+  }
+  return TopKNormalized(graph, estimate, k);
+}
+
 size_t ResultCache::KeyHash::operator()(const ResultCacheKey& key) const {
   return static_cast<size_t>(HashKey(key));
 }

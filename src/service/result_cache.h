@@ -5,10 +5,12 @@
 // from remembering completed estimates than from recomputing them faster.
 // ResultCache is a sharded LRU map from (graph version, seed, resolved
 // QueryPlan — backend id + heat-kernel/accuracy parameters) to a completed
-// SparseVector estimate. Because the key is the *resolved plan*, two
-// distinct plans (different backend, or any parameter override) can never
-// serve each other's entries, while the same plan reached via routing, an
-// explicit request override, or the service default shares one entry.
+// RankedEstimate: the SparseVector estimate plus the top-k ranking its
+// computing request asked for, so a top-k hit costs O(k). Because the key
+// is the *resolved plan*, two distinct plans (different backend, or any
+// parameter override) can never serve each other's entries, while the
+// same plan reached via routing, an explicit request override, or the
+// service default shares one entry.
 //
 // Concurrent requests for the same key are deduplicated single-flight
 // style: the first requester becomes the *leader* and computes; everyone
@@ -35,6 +37,7 @@
 
 #include "common/sparse_vector.h"
 #include "graph/graph.h"
+#include "hkpr/queries.h"
 
 namespace hkpr {
 
@@ -73,9 +76,26 @@ struct ResultCacheKey {
   }
 };
 
+/// One completed computation: the estimate plus the degree-normalized
+/// ranking of the request that computed it, top ==
+/// TopKNormalized(estimate, ranked_k) (ranked_k == 0 and top empty for a
+/// full-vector request). The ranking is computed once, by the leader, and
+/// every later hit or coalesced follower reads it.
+struct RankedEstimate {
+  SparseVector estimate;
+  std::vector<ScoredNode> top;
+  size_t ranked_k = 0;
+
+  /// TopKNormalized(graph, estimate, k). A prefix copy of `top` when the
+  /// stored ranking covers k — k <= top.size(), or any k once the ranking
+  /// was complete (top.size() < ranked_k) — and one pass over the
+  /// estimate otherwise.
+  std::vector<ScoredNode> TopK(const Graph& graph, size_t k) const;
+};
+
 /// Completed estimates are shared immutably between the cache, in-flight
 /// responses, and callers that hold onto results.
-using CachedEstimate = std::shared_ptr<const SparseVector>;
+using CachedEstimate = std::shared_ptr<const RankedEstimate>;
 
 /// Sharded LRU cache of completed estimates with single-flight dedup.
 /// All methods are thread-safe; locking is per shard.

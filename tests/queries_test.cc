@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <vector>
 
+#include "common/random.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "hkpr/power_method.h"
 #include "hkpr/queries.h"
 #include "hkpr/tea_plus.h"
@@ -86,6 +89,75 @@ TEST(TopKTest, IncludesDegreeOffsetInScores) {
   const auto top = TopKNormalized(g, est, 1);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_DOUBLE_EQ(top[0].score, 0.1 + 0.05);  // (0.1 + 0.05*1)/1
+}
+
+// Reference ranking: score every kept entry through ValueWithOffset into
+// an nnz-sized buffer, then (partial-)sort it under the same order.
+std::vector<ScoredNode> FullSortTopK(const Graph& graph,
+                                     const SparseVector& estimate, size_t k) {
+  std::vector<ScoredNode> scored;
+  for (const auto& e : estimate.entries()) {
+    const uint32_t d = graph.Degree(e.key);
+    if (d == 0 || e.value <= 0.0) continue;
+    scored.push_back({e.key, estimate.ValueWithOffset(e.key, d) / d});
+  }
+  const auto better = [](const ScoredNode& a, const ScoredNode& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.node < b.node;
+  };
+  if (scored.size() > k) {
+    std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
+                      better);
+    scored.resize(k);
+  } else {
+    std::sort(scored.begin(), scored.end(), better);
+  }
+  return scored;
+}
+
+TEST(TopKTest, BoundedHeapMatchesFullSortBitForBit) {
+  // A graph with isolated nodes (ids >= 150 have degree 0) and many equal
+  // degrees, so equal scores are common and the node-id tie-break matters.
+  GraphBuilder builder(200);
+  Rng edges(17);
+  for (int i = 0; i < 600; ++i) {
+    builder.AddEdge(static_cast<NodeId>(edges.UniformInt(150)),
+                    static_cast<NodeId>(edges.UniformInt(150)));
+  }
+  const Graph g = builder.Build();
+  ASSERT_EQ(g.Degree(199), 0u);
+
+  Rng rng(29);
+  for (int trial = 0; trial < 50; ++trial) {
+    SparseVector est;
+    const size_t support = 1 + rng.UniformInt(g.NumNodes());
+    for (size_t i = 0; i < support; ++i) {
+      const NodeId v = static_cast<NodeId>(rng.UniformInt(g.NumNodes()));
+      // A few distinct degree-proportional values (tied scores), zeros
+      // and negatives that must never be ranked, and positive values on
+      // isolated nodes, which must never be ranked either.
+      const double value =
+          static_cast<double>(static_cast<int>(rng.UniformInt(6)) - 1) *
+          0.125 * std::max(g.Degree(v), 1u);
+      est.Set(v, value);
+    }
+    est.set_degree_offset(trial % 2 == 0 ? 0.0 : 1e-3 * (1 + trial % 5));
+    const size_t nnz = est.nnz();
+    for (size_t k : {size_t{0}, size_t{1}, size_t{10}, nnz - 1, nnz,
+                     nnz + 5}) {
+      const std::vector<ScoredNode> expected = FullSortTopK(g, est, k);
+      const std::vector<ScoredNode> actual = TopKNormalized(g, est, k);
+      ASSERT_EQ(actual.size(), expected.size())
+          << "trial " << trial << " k=" << k;
+      for (size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(actual[i].node, expected[i].node)
+            << "trial " << trial << " k=" << k << " rank " << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(actual[i].score),
+                  std::bit_cast<uint64_t>(expected[i].score))
+            << "trial " << trial << " k=" << k << " rank " << i;
+      }
+    }
+  }
 }
 
 TEST(SeedSetTest, SingleSeedMatchesPlainEstimate) {

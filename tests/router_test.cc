@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
@@ -404,10 +407,13 @@ TEST(RoutedServiceTest, BackendSwitchUnderLoadNoDrainNoStalePlans) {
     allowed.insert(StableBackendId(name));
   }
 
+  constexpr uint32_t kClients = 3;
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> load_ok{0};
+  // Per client, so the test can wait until every client has completed a
+  // query under the switching load before it stops them.
+  std::array<std::atomic<uint64_t>, kClients> client_ok{};
   std::vector<std::thread> clients;
-  for (uint32_t c = 0; c < 3; ++c) {
+  for (uint32_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
@@ -418,7 +424,7 @@ TEST(RoutedServiceTest, BackendSwitchUnderLoadNoDrainNoStalePlans) {
         // never a half-switched or unknown plan.
         ASSERT_TRUE(allowed.count(result.backend_id))
             << result.backend;
-        load_ok.fetch_add(1, std::memory_order_relaxed);
+        client_ok[c].fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -435,6 +441,20 @@ TEST(RoutedServiceTest, BackendSwitchUnderLoadNoDrainNoStalePlans) {
       EXPECT_EQ(result.backend, name) << "stale plan after switch";
     }
   }
+  // The switch round-trips can finish before a loaded CPU has let every
+  // client complete a query; keep the load running until each one has.
+  const auto all_clients_served = [&] {
+    return std::all_of(client_ok.begin(), client_ok.end(),
+                       [](const std::atomic<uint64_t>& ok) {
+                         return ok.load(std::memory_order_relaxed) > 0;
+                       });
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!all_clients_served() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   stop = true;
   for (std::thread& t : clients) t.join();
 
@@ -444,7 +464,12 @@ TEST(RoutedServiceTest, BackendSwitchUnderLoadNoDrainNoStalePlans) {
   const ServiceStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_EQ(stats.completed, stats.submitted);
-  EXPECT_GE(load_ok.load(), 1u);
+  uint64_t load_ok = 0;
+  for (uint32_t c = 0; c < kClients; ++c) {
+    EXPECT_GE(client_ok[c].load(), 1u) << "client " << c;
+    load_ok += client_ok[c].load();
+  }
+  EXPECT_GE(load_ok, kClients);
   // Workers were never rebuilt: the switch only ever *adds* lazily built
   // plan estimators (at most one per backend per worker).
   EXPECT_EQ(service.num_workers(), 2u);

@@ -1,12 +1,18 @@
 // Tests for the async serving subsystem: AsyncQueryService determinism
 // against the synchronous batch path, the result cache (hits never
-// recompute, single-flight dedup, LRU bounds, invalidation), admission
-// control, deadlines, cancellation, and the stats/latency plumbing.
+// recompute, single-flight dedup, LRU bounds, invalidation), top-k served
+// from the ranking stored with a cached estimate, admission control,
+// deadlines, cancellation, and the stats/latency plumbing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -373,6 +379,208 @@ TEST(AsyncQueryServiceTest, DestructorDrainsPendingQueries) {
 }
 
 // ---------------------------------------------------------------------------
+// Top-k on cache hits: every served ranking equals a fresh
+// TopKNormalized of the served estimate, whichever way the hit got it.
+
+void ExpectSameRanking(const std::vector<ScoredNode>& actual,
+                       const std::vector<ScoredNode>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].node, expected[i].node) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(actual[i].score),
+              std::bit_cast<uint64_t>(expected[i].score))
+        << "rank " << i;
+  }
+}
+
+/// Submits a top-k query and checks its ranking against the estimate.
+QueryResult TopKAndCheck(AsyncQueryService& service, const Graph& g,
+                         NodeId seed, size_t k) {
+  QueryResult result = service.SubmitTopK(seed, k).result.get();
+  EXPECT_EQ(result.status, QueryStatus::kOk);
+  if (result.estimate != nullptr) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    ExpectSameRanking(result.top_k, TopKNormalized(g, *result.estimate, k));
+  }
+  return result;
+}
+
+TEST(AsyncQueryServiceTest, TopKHitsMatchFullRankingForAnyK) {
+  Graph g = PowerlawCluster(400, 4, 0.3, 10);
+  ServiceOptions options;
+  options.num_workers = 1;
+  AsyncQueryService service(g, TestParams(1e-5), 21, options);
+
+  const QueryResult leader = TopKAndCheck(service, g, 17, 10);
+  ASSERT_EQ(leader.top_k.size(), 10u);
+  EXPECT_FALSE(leader.from_cache);
+  // Smaller than, equal to and larger than the computing request's k.
+  for (size_t k : {1u, 3u, 10u, 11u, 40u}) {
+    const QueryResult hit = TopKAndCheck(service, g, 17, k);
+    EXPECT_TRUE(hit.from_cache);
+    EXPECT_EQ(hit.estimate.get(), leader.estimate.get());
+    EXPECT_EQ(hit.top_k.size(), k);  // the estimate has > 40 ranked nodes
+  }
+  EXPECT_EQ(service.Stats().computed, 1u);
+}
+
+TEST(AsyncQueryServiceTest, TopKHitAfterFullVectorQueryRanksTheEstimate) {
+  // A full-vector computation stores no ranking; a later top-k hit ranks
+  // the cached estimate in one pass.
+  Graph g = PowerlawCluster(400, 4, 0.3, 10);
+  ServiceOptions options;
+  options.num_workers = 1;
+  AsyncQueryService service(g, TestParams(1e-5), 21, options);
+
+  const QueryResult full = service.Submit(17).result.get();
+  ASSERT_EQ(full.status, QueryStatus::kOk);
+  EXPECT_TRUE(full.top_k.empty());
+  const QueryResult hit = TopKAndCheck(service, g, 17, 10);
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_EQ(hit.top_k.size(), 10u);
+  EXPECT_EQ(service.Stats().computed, 1u);
+}
+
+TEST(AsyncQueryServiceTest, CompleteRankingServesAnyLargerK) {
+  // The computing request asked for more nodes than the estimate ranks,
+  // so its stored ranking is complete and answers every later k.
+  Graph g = testing::MakeComplete(8);
+  ServiceOptions options;
+  options.num_workers = 1;
+  AsyncQueryService service(g, TestParams(1e-3), 23, options);
+
+  const QueryResult leader = TopKAndCheck(service, g, 2, 20);
+  ASSERT_FALSE(leader.top_k.empty());
+  ASSERT_LT(leader.top_k.size(), 20u);
+  for (size_t k : {1u, 20u, 50u}) {
+    const QueryResult hit = TopKAndCheck(service, g, 2, k);
+    EXPECT_TRUE(hit.from_cache);
+    EXPECT_EQ(hit.top_k.size(), std::min(k, leader.top_k.size()));
+  }
+  EXPECT_EQ(service.Stats().computed, 1u);
+}
+
+/// Blocks computations of the "gated-hk-relax" test backend while armed,
+/// so a test can hold a single-flight leader in flight.
+struct ComputeGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;
+  int entered = 0;  // computations blocked so far while armed
+};
+
+ComputeGate& Gate() {
+  static ComputeGate gate;
+  return gate;
+}
+
+/// Disarms the gate on scope exit, releasing any blocked computation.
+struct GateReleaser {
+  ~GateReleaser() {
+    {
+      std::lock_guard<std::mutex> lock(Gate().mu);
+      Gate().armed = false;
+    }
+    Gate().cv.notify_all();
+  }
+};
+
+/// HK-Relax behind the gate. Disarmed it answers exactly as "hk-relax",
+/// so tests that iterate every registered backend are unaffected.
+class GatedEstimator : public WorkspaceEstimator {
+ public:
+  explicit GatedEstimator(std::unique_ptr<WorkspaceEstimator> inner)
+      : inner_(std::move(inner)) {}
+  const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
+                                   EstimatorStats* stats) override {
+    ComputeGate& gate = Gate();
+    {
+      std::unique_lock<std::mutex> lock(gate.mu);
+      if (gate.armed) {
+        ++gate.entered;
+        gate.cv.notify_all();
+        gate.cv.wait(lock, [&] { return !gate.armed; });
+      }
+    }
+    return inner_->EstimateInto(seed, ws, stats);
+  }
+  void Reseed(uint64_t seed) override { inner_->Reseed(seed); }
+  std::string_view name() const override { return "Gated-HK-Relax"; }
+
+ private:
+  std::unique_ptr<WorkspaceEstimator> inner_;
+};
+
+void RegisterGatedBackend() {
+  EstimatorRegistry& registry = EstimatorRegistry::Global();
+  if (registry.Contains("gated-hk-relax")) return;
+  BackendInfo info;
+  info.name = "gated-hk-relax";
+  info.algorithm = "HK-Relax that can be held in flight (test backend)";
+  info.randomized = false;
+  info.factory = [](const Graph& graph, const ApproxParams& params,
+                    uint64_t seed, const BackendContext& context) {
+    return std::unique_ptr<WorkspaceEstimator>(new GatedEstimator(
+        EstimatorRegistry::Global().Create("hk-relax", graph, params, seed,
+                                           context)));
+  };
+  registry.Register(std::move(info));
+}
+
+TEST(AsyncQueryServiceTest, CoalescedFollowerWithLargerKRanksItsOwnK) {
+  RegisterGatedBackend();
+  Graph g = PowerlawCluster(400, 4, 0.3, 10);
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.backend.name = "gated-hk-relax";
+  AsyncQueryService service(g, TestParams(1e-5), 25, options);
+  // Declared after the service: released before its destructor drains.
+  GateReleaser releaser;
+  ComputeGate& gate = Gate();
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.armed = true;
+    gate.entered = 0;
+  }
+
+  QueryHandle leader = service.SubmitTopK(17, 3);
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    ASSERT_TRUE(gate.cv.wait_for(lock, std::chrono::seconds(30),
+                                 [&] { return gate.entered == 1; }));
+  }
+  // The leader is computing on one worker; the other worker picks the
+  // follower up (from its own shard or by stealing) and parks it on the
+  // leader's in-flight computation.
+  QueryHandle follower = service.SubmitTopK(17, 30);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(30);
+  while (service.Stats().coalesced == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service.Stats().coalesced, 1u);
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.armed = false;
+  }
+  gate.cv.notify_all();
+
+  const QueryResult led = leader.result.get();
+  const QueryResult followed = follower.result.get();
+  ASSERT_EQ(led.status, QueryStatus::kOk);
+  ASSERT_EQ(followed.status, QueryStatus::kOk);
+  EXPECT_FALSE(led.from_cache);
+  EXPECT_TRUE(followed.from_cache);
+  EXPECT_EQ(followed.estimate.get(), led.estimate.get());
+  ExpectSameRanking(led.top_k, TopKNormalized(g, *led.estimate, 3));
+  ExpectSameRanking(followed.top_k,
+                    TopKNormalized(g, *followed.estimate, 30));
+  EXPECT_EQ(followed.top_k.size(), 30u);
+  EXPECT_EQ(service.Stats().computed, 1u);
+}
+
+// ---------------------------------------------------------------------------
 // ResultCache unit tests.
 
 ResultCacheKey MakeKey(NodeId seed, uint64_t version = 0) {
@@ -387,9 +595,9 @@ ResultCacheKey MakeKey(NodeId seed, uint64_t version = 0) {
 }
 
 CachedEstimate MakeValue(NodeId seed, double value) {
-  SparseVector v;
-  v.Add(seed, value);
-  return std::make_shared<const SparseVector>(std::move(v));
+  auto ranked = std::make_shared<RankedEstimate>();
+  ranked->estimate.Add(seed, value);
+  return ranked;
 }
 
 TEST(ResultCacheTest, MissComputeHitRoundTrip) {
@@ -400,7 +608,7 @@ TEST(ResultCacheTest, MissComputeHitRoundTrip) {
 
   auto hit = cache.LookupOrStartCompute(MakeKey(7));
   ASSERT_EQ(hit.outcome, ResultCache::Outcome::kHit);
-  EXPECT_DOUBLE_EQ(hit.value->Get(7), 0.5);
+  EXPECT_DOUBLE_EQ(hit.value->estimate.Get(7), 0.5);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -451,7 +659,7 @@ TEST(ResultCacheTest, SecondRequesterCoalescesOnInFlightLeader) {
   });
   const CachedEstimate value = follower.pending.get();
   completer.join();
-  EXPECT_DOUBLE_EQ(value->Get(3), 0.25);
+  EXPECT_DOUBLE_EQ(value->estimate.Get(3), 0.25);
 }
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedCompletedEntry) {
@@ -495,10 +703,32 @@ TEST(ResultCacheTest, CompleteAfterInvalidateStillWakesFollowers) {
 
   cache.Invalidate();  // entry is gone, promise is not
   cache.Complete(MakeKey(5), leader.leader, MakeValue(5, 2.0));
-  EXPECT_DOUBLE_EQ(follower.pending.get()->Get(5), 2.0);
+  EXPECT_DOUBLE_EQ(follower.pending.get()->estimate.Get(5), 2.0);
   // The stale completion must not resurrect a cache entry.
   EXPECT_EQ(cache.LookupOrStartCompute(MakeKey(5)).outcome,
             ResultCache::Outcome::kMiss);
+}
+
+TEST(ResultCacheTest, RankedEstimateServesStoredRankingOnlyWhenItCovers) {
+  const Graph g = testing::MakePath(6);
+  RankedEstimate ranked;
+  for (NodeId v = 0; v < 6; ++v) ranked.estimate.Add(v, 0.1 * (v + 1));
+  // A sentinel no ranking pass would produce, so the test can tell a copy
+  // of the stored ranking from a fresh pass over the estimate.
+  const std::vector<ScoredNode> sentinel = {{5, 9.0}, {4, 8.0}};
+  ranked.top = sentinel;
+  ranked.ranked_k = 2;
+  ExpectSameRanking(ranked.TopK(g, 1), {sentinel[0]});
+  ExpectSameRanking(ranked.TopK(g, 2), sentinel);
+  ExpectSameRanking(ranked.TopK(g, 3), TopKNormalized(g, ranked.estimate, 3));
+  // Fewer ranked nodes than were asked for: the ranking was complete and
+  // covers every k.
+  ranked.ranked_k = 4;
+  ExpectSameRanking(ranked.TopK(g, 50), sentinel);
+  // No stored ranking (a full-vector computation): every k ranks afresh.
+  ranked.top.clear();
+  ranked.ranked_k = 0;
+  ExpectSameRanking(ranked.TopK(g, 2), TopKNormalized(g, ranked.estimate, 2));
 }
 
 // ---------------------------------------------------------------------------
