@@ -414,7 +414,6 @@ int main(int argc, char** argv) {
 
   SocketServerOptions net;
   net.port = 0;  // ephemeral
-  net.num_executors = std::max<size_t>(2, config.connections);
   SocketServer server(processor, net);
   if (!server.Start()) {
     std::fprintf(stderr, "cannot start socket server: %s\n",

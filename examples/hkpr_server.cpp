@@ -7,8 +7,7 @@
 //                                 [--router=rule|learned] [--hedge=on|off]
 //                                 [--walk-kernel=scalar|interleaved]
 //                                 [--walk-width=N]
-//                                 [--listen=PORT] [--net-executors=N]
-//                                 [--no-trace]
+//                                 [--listen=PORT] [--no-trace]
 //
 // Loads one or more named graphs into a GraphStore (--graphs takes a
 // comma-separated name=path list of SNAP edge-lists; --graph=PATH loads a
@@ -125,7 +124,7 @@ constexpr const char* kValidFlags =
     "--graphs=name=path,... --graph=PATH --nodes=N --workers=W --cache=CAP "
     "--seed=S --backend=NAME|auto --router=rule|learned --hedge=on|off "
     "--walk-kernel=scalar|interleaved --walk-width=N "
-    "--listen=PORT --net-executors=N --no-trace";
+    "--listen=PORT --no-trace";
 
 /// Parses "name=path,name=path,..." into pairs; returns false on syntax
 /// errors (missing '=' or empty name/path).
@@ -194,7 +193,6 @@ int main(int argc, char** argv) {
   bool trace = true;
   bool listen_set = false;
   uint64_t listen_port = 0;
-  uint64_t net_executors = 4;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     std::optional<std::string> v;
@@ -236,14 +234,6 @@ int main(int argc, char** argv) {
     } else if ((v = FlagValue(arg, "--listen="))) {
       if (!NumericFlag(*v, "--listen", 65535, &listen_port)) return 1;
       listen_set = true;
-    } else if ((v = FlagValue(arg, "--net-executors="))) {
-      if (!NumericFlag(*v, "--net-executors", 256, &net_executors) ||
-          net_executors == 0) {
-        if (net_executors == 0) {
-          std::fprintf(stderr, "err --net-executors must be >= 1\n");
-        }
-        return 1;
-      }
     } else {
       // A typo like --worker=8 must never be silently ignored.
       std::fprintf(stderr, "err unknown flag \"%s\" (valid: %s)\n", arg,
@@ -335,7 +325,6 @@ int main(int argc, char** argv) {
   if (listen_set) {
     SocketServerOptions net;
     net.port = static_cast<uint16_t>(listen_port);
-    net.num_executors = static_cast<size_t>(net_executors);
     socket_server = std::make_unique<SocketServer>(processor, net);
     if (!socket_server->Start()) {
       std::fprintf(stderr, "err cannot listen on port %llu: %s\n",

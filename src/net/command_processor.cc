@@ -2,6 +2,8 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <future>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -328,19 +330,29 @@ ClientSession CommandProcessor::NewSession() const {
 
 CommandResult CommandProcessor::Execute(ClientSession& session,
                                         const std::string& line) {
+  auto reply = std::make_shared<std::promise<CommandResult>>();
+  std::future<CommandResult> result = reply->get_future();
+  Execute(session, line, [reply](CommandResult done) {
+    reply->set_value(std::move(done));
+  });
+  return result.get();
+}
+
+void CommandProcessor::Execute(ClientSession& session, const std::string& line,
+                               CommandDone done) {
   CommandResult result;
   std::istringstream in(line);
   std::string command;
   in >> command;
-  if (command.empty()) return result;
-  if (command == "quit" || command == "exit") {
-    result.quit = true;
-    return result;
-  }
-
-  std::string& out = result.output;
   if (command == "query" || command == "topk") {
-    ExecuteQuery(session, command, in, out);
+    ExecuteQuery(session, command, in, done);
+    return;
+  }
+  std::string& out = result.output;
+  if (command.empty()) {
+    // Blank line: an empty response.
+  } else if (command == "quit" || command == "exit") {
+    result.quit = true;
   } else if (command == "graph") {
     ExecuteGraph(session, in, out);
   } else if (command == "backend") {
@@ -364,17 +376,63 @@ CommandResult CommandProcessor::Execute(ClientSession& session,
             "params/tenant/stats/metrics/invalidate/quit)\n",
             command.c_str());
   }
-  return result;
+  done(std::move(result));
 }
+
+namespace {
+
+/// The reply line of one completed query/topk.
+std::string FormatQueryReply(const std::string& graph, bool topk, NodeId node,
+                             const QueryResult& result) {
+  std::string out;
+  if (result.status != QueryStatus::kOk) {
+    if (result.status == QueryStatus::kUnknownGraph) {
+      Appendf(out, "err unknown graph \"%s\" (dropped concurrently?)\n",
+              graph.c_str());
+    } else {
+      Appendf(out, "err status=%s\n", QueryStatusName(result.status));
+    }
+  } else if (!topk) {
+    Appendf(out,
+            "ok graph=%s version=%llu seed=%u backend=%s nnz=%zu "
+            "sum=%.6f cache=%s latency_ms=%.3f\n",
+            graph.c_str(),
+            static_cast<unsigned long long>(result.graph_version), node,
+            result.backend.c_str(), result.estimate->nnz(),
+            result.estimate->Sum(), result.from_cache ? "hit" : "miss",
+            result.latency_ms);
+  } else {
+    Appendf(out, "ok graph=%s version=%llu seed=%u backend=%s k=%zu cache=%s",
+            graph.c_str(),
+            static_cast<unsigned long long>(result.graph_version), node,
+            result.backend.c_str(), result.top_k.size(),
+            result.from_cache ? "hit" : "miss");
+    for (const ScoredNode& s : result.top_k) {
+      Appendf(out, " %u:%.6g", s.node, s.score);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+/// Completes `done` with a one-line reply.
+void Reply(CommandDone& done, std::string output) {
+  CommandResult result;
+  result.output = std::move(output);
+  done(std::move(result));
+}
+
+}  // namespace
 
 void CommandProcessor::ExecuteQuery(ClientSession& session,
                                     const std::string& command,
-                                    std::istringstream& in, std::string& out) {
+                                    std::istringstream& in, CommandDone& done) {
+  std::string out;
   const GraphSnapshot snapshot = store_.Get(session.current_graph);
   if (!snapshot) {
     Appendf(out, "err unknown graph \"%s\" (graph load/use first)\n",
             session.current_graph.c_str());
-    return;
+    return Reply(done, std::move(out));
   }
   long long seed_node = -1;
   long long k = 10;
@@ -388,14 +446,14 @@ void CommandProcessor::ExecuteQuery(ClientSession& session,
             "[t=V] [eps=V] [delta=V] [tenant=ID]\n",
             command.c_str(), snapshot.graph->NumNodes(),
             command == "topk" ? " <k >= 1>" : "");
-    return;
+    return Reply(done, std::move(out));
   }
   SubmitOptions submit;
   std::string tenant = session.tenant;
   std::string token_error;
   if (!ParsePlanTokens(in, &submit.plan, &tenant, &token_error)) {
     Appendf(out, "err %s\n", token_error.c_str());
-    return;
+    return Reply(done, std::move(out));
   }
 
   // Tenant QoS gate, at the same boundary the service's own admission
@@ -414,54 +472,35 @@ void CommandProcessor::ExecuteQuery(ClientSession& session,
     case TenantAdmission::kThrottled:
       Appendf(out, "err tenant-throttled tenant=%s (rate limit %.6g qps)\n",
               tenant.c_str(), tenants_.ConfigFor(tenant).rate_qps);
-      return;
+      return Reply(done, std::move(out));
     case TenantAdmission::kQuotaExceeded:
       Appendf(out, "err tenant-quota tenant=%s (max %zu in flight)\n",
               tenant.c_str(), tenants_.ConfigFor(tenant).max_in_flight);
-      return;
+      return Reply(done, std::move(out));
     case TenantAdmission::kShedLoad:
       Appendf(out,
               "err tenant-shed tenant=%s (queue depth %zu, priority=%s)\n",
               tenant.c_str(), queue_depth,
               TenantPriorityName(tenants_.ConfigFor(tenant).priority));
-      return;
+      return Reply(done, std::move(out));
   }
 
+  // The reply is built inside the completion, from copies of the session
+  // state it needs: the session may move on before a worker completes.
   const NodeId node = static_cast<NodeId>(seed_node);
-  QueryHandle handle =
-      command == "query"
-          ? service_.Submit(session.current_graph, node, submit)
-          : service_.SubmitTopK(session.current_graph, node,
-                                static_cast<size_t>(k), submit);
-  const QueryResult result = handle.result.get();
-  tenants_.OnComplete(tenant, result.status == QueryStatus::kOk,
-                      result.latency_ms / 1000.0);
-  if (result.status != QueryStatus::kOk) {
-    if (result.status == QueryStatus::kUnknownGraph) {
-      Appendf(out, "err unknown graph \"%s\" (dropped concurrently?)\n",
-              session.current_graph.c_str());
-    } else {
-      Appendf(out, "err status=%s\n", QueryStatusName(result.status));
-    }
-  } else if (command == "query") {
-    Appendf(out,
-            "ok graph=%s version=%llu seed=%u backend=%s nnz=%zu "
-            "sum=%.6f cache=%s latency_ms=%.3f\n",
-            session.current_graph.c_str(),
-            static_cast<unsigned long long>(result.graph_version), node,
-            result.backend.c_str(), result.estimate->nnz(),
-            result.estimate->Sum(), result.from_cache ? "hit" : "miss",
-            result.latency_ms);
+  const bool topk = command == "topk";
+  QueryCallback complete = [this, tenant, graph = session.current_graph, topk,
+                            node, done = std::move(done)](
+                               QueryResult result) mutable {
+    tenants_.OnComplete(tenant, result.status == QueryStatus::kOk,
+                        result.latency_ms / 1000.0);
+    Reply(done, FormatQueryReply(graph, topk, node, result));
+  };
+  if (topk) {
+    service_.SubmitTopK(session.current_graph, node, static_cast<size_t>(k),
+                        submit, std::move(complete));
   } else {
-    Appendf(out, "ok graph=%s version=%llu seed=%u backend=%s k=%zu cache=%s",
-            session.current_graph.c_str(),
-            static_cast<unsigned long long>(result.graph_version), node,
-            result.backend.c_str(), result.top_k.size(),
-            result.from_cache ? "hit" : "miss");
-    for (const ScoredNode& s : result.top_k) {
-      Appendf(out, " %u:%.6g", s.node, s.score);
-    }
-    out += "\n";
+    service_.Submit(session.current_graph, node, submit, std::move(complete));
   }
 }
 

@@ -4,10 +4,19 @@
 // and wrote straight to stdout, which made it unusable from a socket
 // server. CommandProcessor factors that dispatch into a library class:
 // Execute() takes one protocol line plus the issuing session's state and
-// returns the complete response text. The stdin loop and the socket
-// connections (net/socket_server.h) call the *same* Execute(), so the two
+// completes with the full response text. The stdin loop and the socket
+// connections (net/socket_server.h) run the *same* dispatch, so the two
 // transports produce byte-identical responses for the same command
 // stream — the parity the protocol tests assert.
+//
+// Completion: Execute(session, line, done) calls `done` exactly once. Every
+// command except query/topk completes inline, before Execute returns (a
+// `graph load` parses its file and hot-swaps on the calling thread). A
+// query/topk completes from the service's completion callback: inline for
+// cache hits and immediate errors, on a service worker otherwise — so a
+// caller must not hold a lock across Execute() that its `done` takes. The
+// synchronous Execute(session, line) waits for `done` and returns the
+// result; the stdin loop uses it.
 //
 // Session state (the `current` graph and the tenant id) is per caller: a
 // ClientSession per socket connection, one for the stdin loop. Everything
@@ -33,6 +42,7 @@
 #ifndef HKPR_NET_COMMAND_PROCESSOR_H_
 #define HKPR_NET_COMMAND_PROCESSOR_H_
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -65,6 +75,9 @@ struct CommandResult {
   bool quit = false;
 };
 
+/// Completion of one executed command.
+using CommandDone = std::function<void(CommandResult)>;
+
 /// Parses the trailing key=value plan tokens of a query/params line
 /// (backend=NAME|auto, t=V, eps=V, delta=V, and — when `tenant` is
 /// non-null — tenant=ID) into `plan`. Returns false — and fills `error` —
@@ -94,8 +107,14 @@ class CommandProcessor {
   /// A fresh session bound to the initial graph and the default tenant.
   ClientSession NewSession() const;
 
-  /// Executes one protocol line and returns its response. Never throws;
-  /// malformed input yields an "err ..." line.
+  /// Executes one protocol line; `done` receives its response exactly
+  /// once (see the header comment for which thread runs it). Only the
+  /// synchronous part touches `session`. Never throws; malformed input
+  /// yields an "err ..." line.
+  void Execute(ClientSession& session, const std::string& line,
+               CommandDone done);
+
+  /// Executes one protocol line and waits for its response.
   CommandResult Execute(ClientSession& session, const std::string& line);
 
   TenantRegistry& tenants() { return tenants_; }
@@ -103,8 +122,10 @@ class CommandProcessor {
  private:
   // One handler per command; each appends its '\n'-terminated response
   // lines to `out`.
+  /// Completes `done` itself: inline on a parse or admission error, from
+  /// the service's completion callback otherwise.
   void ExecuteQuery(ClientSession& session, const std::string& command,
-                    std::istringstream& in, std::string& out);
+                    std::istringstream& in, CommandDone& done);
   void ExecuteGraph(ClientSession& session, std::istringstream& in,
                     std::string& out);
   void ExecuteBackend(std::istringstream& in, std::string& out);

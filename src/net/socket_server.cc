@@ -23,6 +23,10 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/// The server whose IO loop runs on this thread, if any: a completion that
+/// finds its own server here ran inline, inside Dispatch().
+thread_local const SocketServer* tls_io_server = nullptr;
+
 }  // namespace
 
 SocketServer::SocketServer(CommandProcessor& processor,
@@ -88,25 +92,23 @@ bool SocketServer::Start() {
 
   running_.store(true);
   io_thread_ = std::thread([this] { IoLoop(); });
-  const size_t executors = std::max<size_t>(1, options_.num_executors);
-  executors_.reserve(executors);
-  for (size_t i = 0; i < executors; ++i) {
-    executors_.emplace_back([this] { ExecutorLoop(); });
-  }
   return true;
 }
 
 void SocketServer::Stop() {
   if (running_.exchange(false)) {
-    // Wake the IO thread and the executors so they observe !running_.
+    // Wake the IO thread so it observes !running_.
     const uint64_t one = 1;
     [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
-    work_cv_.notify_all();
     if (io_thread_.joinable()) io_thread_.join();
-    for (std::thread& t : executors_) {
-      if (t.joinable()) t.join();
-    }
-    executors_.clear();
+  }
+  {
+    // Queries already handed to the service complete on its workers; wait
+    // for them, so no completion touches this server after Stop returns.
+    // Their replies are dropped with the connections below.
+    std::unique_lock<std::mutex> lock(flush_mu_);
+    drained_cv_.wait(lock, [this] { return outstanding_.load() == 0; });
+    flush_.clear();
   }
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -136,6 +138,7 @@ size_t SocketServer::connections_active() const {
 }
 
 void SocketServer::IoLoop() {
+  tls_io_server = this;
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (running_.load()) {
@@ -151,13 +154,17 @@ void SocketServer::IoLoop() {
         uint64_t drained = 0;
         while (read(wake_fd_, &drained, sizeof(drained)) > 0) {
         }
-        // Flush every connection the executors queued output for.
+        // Flush every connection a worker completed a command on, then
+        // dispatch its next pipelined line.
         std::deque<std::shared_ptr<Connection>> to_flush;
         {
           std::lock_guard<std::mutex> lock(flush_mu_);
           to_flush.swap(flush_);
         }
-        for (const auto& conn : to_flush) FlushWrites(conn);
+        for (const auto& conn : to_flush) {
+          FlushWrites(conn);
+          if (Dispatch(conn)) FlushWrites(conn);
+        }
         continue;
       }
       std::shared_ptr<Connection> conn;
@@ -175,6 +182,7 @@ void SocketServer::IoLoop() {
       if (events[i].events & EPOLLOUT) FlushWrites(conn);
     }
   }
+  tls_io_server = nullptr;
 }
 
 void SocketServer::AcceptPending() {
@@ -235,6 +243,7 @@ void SocketServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
     break;  // EAGAIN, error, or EOF
   }
   QueueLines(conn);
+  Dispatch(conn);
   if (eof) {
     // Let already-queued commands finish and their responses flush, then
     // close. With nothing in flight this closes immediately.
@@ -242,7 +251,7 @@ void SocketServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->want_close = true;
-      drained = conn->pending.empty() && !conn->executing &&
+      drained = conn->pending.empty() && !conn->in_flight &&
                 conn->write_buf.empty();
     }
     if (drained) {
@@ -251,17 +260,6 @@ void SocketServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
     }
   }
   FlushWrites(conn);
-}
-
-void SocketServer::ScheduleLocked(const std::shared_ptr<Connection>& conn) {
-  // conn->mu held by caller.
-  if (conn->executing || conn->closed || conn->pending.empty()) return;
-  conn->executing = true;
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    work_.push_back(conn);
-  }
-  work_cv_.notify_one();
 }
 
 void SocketServer::QueueLines(const std::shared_ptr<Connection>& conn) {
@@ -276,61 +274,54 @@ void SocketServer::QueueLines(const std::shared_ptr<Connection>& conn) {
     start = newline + 1;
   }
   if (start > 0) conn->read_buf.erase(0, start);
-  ScheduleLocked(conn);
 }
 
-void SocketServer::RequestFlush(const std::shared_ptr<Connection>& conn) {
-  {
-    std::lock_guard<std::mutex> lock(flush_mu_);
-    flush_.push_back(conn);
+bool SocketServer::Dispatch(const std::shared_ptr<Connection>& conn) {
+  bool dispatched = false;
+  while (true) {
+    std::string line;
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      if (conn->in_flight || conn->closed || conn->pending.empty()) break;
+      line = std::move(conn->pending.front());
+      conn->pending.pop_front();
+      conn->in_flight = true;
+    }
+    dispatched = true;
+    outstanding_.fetch_add(1);
+    // No lock held: the completion takes conn->mu, and runs right here for
+    // every command that completes inline.
+    processor_.Execute(conn->session, line,
+                       [this, conn](CommandResult result) {
+                         Complete(conn, std::move(result));
+                       });
   }
+  return dispatched;
+}
+
+void SocketServer::Complete(const std::shared_ptr<Connection>& conn,
+                            CommandResult result) {
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->write_buf += result.output;
+    conn->in_flight = false;
+    if (result.quit) {
+      conn->want_close = true;
+      conn->pending.clear();
+    }
+  }
+  if (tls_io_server == this) {
+    // Inline: the dispatching IO thread flushes and moves on by itself.
+    outstanding_.fetch_sub(1);
+    return;
+  }
+  // Nothing after this block may touch the server: once outstanding_
+  // reaches zero, a waiting Stop() may return and the server be freed.
+  std::lock_guard<std::mutex> lock(flush_mu_);
+  flush_.push_back(conn);
   const uint64_t one = 1;
   [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
-}
-
-void SocketServer::ExecutorLoop() {
-  while (true) {
-    std::shared_ptr<Connection> conn;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [this] { return !work_.empty() || !running_; });
-      if (!running_.load() && work_.empty()) return;
-      conn = std::move(work_.front());
-      work_.pop_front();
-    }
-    // Drain this connection's pipelined lines in order. Only this
-    // executor touches conn->session while `executing` is set.
-    while (true) {
-      std::string line;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (conn->closed || conn->pending.empty()) {
-          conn->executing = false;
-          break;
-        }
-        line = std::move(conn->pending.front());
-        conn->pending.pop_front();
-      }
-      const CommandResult result = processor_.Execute(conn->session, line);
-      bool quit = result.quit;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->write_buf += result.output;
-        if (quit) {
-          conn->want_close = true;
-          conn->pending.clear();
-          conn->executing = false;
-        }
-      }
-      RequestFlush(conn);
-      if (quit) break;
-      if (!running_.load()) {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->executing = false;
-        break;
-      }
-    }
-  }
+  if (outstanding_.fetch_sub(1) == 1) drained_cv_.notify_all();
 }
 
 void SocketServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
@@ -365,7 +356,7 @@ void SocketServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
           UpdateEpoll(*conn, want_in, want_out);
         }
         if (conn->want_close && conn->write_buf.empty() &&
-            conn->pending.empty() && !conn->executing) {
+            conn->pending.empty() && !conn->in_flight) {
           should_close = true;
         }
       }

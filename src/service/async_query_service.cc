@@ -1,6 +1,7 @@
 #include "service/async_query_service.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -15,7 +16,28 @@ double SecondsBetween(Clock::time_point begin, Clock::time_point end) {
   return std::chrono::duration<double>(end - begin).count();
 }
 
+/// Completes `done` with a result that carries only `status`.
+void CompleteWith(QueryCallback& done, QueryStatus status) {
+  QueryResult result;
+  result.status = status;
+  done(std::move(result));
+}
+
 }  // namespace
+
+QueryHandle MakeQueryHandle(SubmitOptions* submit, QueryCallback* done) {
+  if (submit->cancel == nullptr) {
+    submit->cancel = std::make_shared<std::atomic<bool>>(false);
+  }
+  auto promise = std::make_shared<std::promise<QueryResult>>();
+  QueryHandle handle;
+  handle.cancel_ = submit->cancel;
+  handle.result = promise->get_future();
+  *done = [promise](QueryResult result) {
+    promise->set_value(std::move(result));
+  };
+  return handle;
+}
 
 const char* QueryStatusName(QueryStatus status) {
   switch (status) {
@@ -205,15 +227,10 @@ ResultCacheKey AsyncQueryService::MakeKey(const QueryPlan& plan,
   return key;
 }
 
-std::optional<QueryHandle> AsyncQueryService::Enqueue(
-    NodeId seed, size_t k, const SubmitOptions& submit,
-    bool stale_if_stopping) {
+bool AsyncQueryService::Enqueue(NodeId seed, size_t k,
+                                const SubmitOptions& submit,
+                                QueryCallback& done, bool stale_if_stopping) {
   HKPR_CHECK(seed < snapshot_.graph->NumNodes()) << "query seed out of range";
-  QueryHandle handle;
-  handle.cancel_ = std::make_shared<std::atomic<bool>>(false);
-  std::promise<QueryResult> promise;
-  handle.result = promise.get_future();
-
   Request request;
   request.seed = seed;
   request.k = k;
@@ -221,7 +238,7 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
   request.deadline = submit.timeout == Clock::duration::zero()
                          ? Clock::time_point::max()
                          : request.submit_time + submit.timeout;
-  request.cancelled = handle.cancel_;
+  request.cancelled = submit.cancel;
 
   // Resolve the request into its plan now — a queued request is immune to
   // later default switches. Unpinned requests under a concrete default
@@ -247,25 +264,24 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
       // malformed input, not admission pressure.
       stats_.RecordSubmitted();
       stats_.RecordInvalidPlan();
-      QueryResult result;
-      result.status = QueryStatus::kInvalidArgument;
-      promise.set_value(std::move(result));
-      return handle;
+      CompleteWith(done, QueryStatus::kInvalidArgument);
+      return true;
     }
     request.plan = *std::move(plan);
   }
   request.key = MakeKey(request.plan, seed);
-  if (telemetry_.enabled()) {
+  const bool traced = telemetry_.enabled();
+  if (traced) {
     request.trace.submit = request.submit_time;
     request.trace.plan_resolved = Clock::now();
   }
 
   if (stopping_.load()) {
-    if (stale_if_stopping) return std::nullopt;
+    if (stale_if_stopping) return false;
     stats_.RecordSubmitted();
     stats_.RecordRejected();
-    promise.set_value(QueryResult{});  // kRejected
-    return handle;
+    CompleteWith(done, QueryStatus::kRejected);
+    return true;
   }
   stats_.RecordSubmitted();
   // Exact global admission without any shared lock: claim a waiting slot;
@@ -273,52 +289,101 @@ std::optional<QueryHandle> AsyncQueryService::Enqueue(
   if (pending_.fetch_add(1) >= options_.max_queue_depth) {
     pending_.fetch_sub(1);
     stats_.RecordRejected();
-    promise.set_value(QueryResult{});  // kRejected
-    return handle;
+    CompleteWith(done, QueryStatus::kRejected);
+    return true;
   }
   request.query_index = next_query_index_.fetch_add(1);
-  request.promise = std::move(promise);
+  request.done = std::move(done);
+
+  // A completed cache entry answers here, on the submitting thread: no
+  // shard push, no worker wakeup. The admission slot and the query index
+  // are already claimed, so max_queue_depth and the index sequence mean
+  // what they mean for a worker-served hit, and the slot (released after
+  // the callback) keeps Shutdown's drain waiting for this answer. A
+  // submitter that sees stopping_ here, or a request already cancelled or
+  // past its deadline, takes the shard path, which settles it as before.
+  if (cache_ != nullptr && !stopping_.load() &&
+      (request.cancelled == nullptr || !request.cancelled->load()) &&
+      (request.deadline == Clock::time_point::max() ||
+       Clock::now() < request.deadline)) {
+    if (CachedEstimate hit = cache_->Peek(request.key)) {
+      stats_.RecordCacheHit();
+      request.cache_outcome = CacheOutcome::kHit;
+      if (traced) {
+        request.trace.dequeue = Clock::now();
+        request.trace.cache_done = request.trace.dequeue;
+      }
+      Fulfill(request, std::move(hit), /*from_cache=*/true);
+      pending_.fetch_sub(1);
+      return true;
+    }
+  }
 
   Shard& shard = *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
                           shards_.size()];
+  bool stopped = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (stopping_.load()) {
-      // Shutdown began after the admission check; its drain may already
-      // have passed this shard, so resolve the request here instead of
-      // stranding the future in a dead queue.
-      pending_.fetch_sub(1);
-      stats_.RecordRejected();
-      if (stale_if_stopping) return std::nullopt;
-      request.promise.set_value(QueryResult{});  // kRejected
-      return handle;
-    }
-    shard.queue.push_back(std::move(request));
+    // Shutdown may have begun after the admission check, and its drain may
+    // already have passed this shard: settle the request below instead of
+    // stranding its callback in a dead queue.
+    stopped = stopping_.load();
+    if (!stopped) shard.queue.push_back(std::move(request));
   }
-  shard.cv.notify_one();
-  return handle;
+  if (!stopped) {
+    shard.cv.notify_one();
+    return true;
+  }
+  pending_.fetch_sub(1);
+  stats_.RecordRejected();
+  if (stale_if_stopping) {
+    done = std::move(request.done);  // handed back, never called
+    return false;
+  }
+  CompleteWith(request.done, QueryStatus::kRejected);
+  return true;
+}
+
+void AsyncQueryService::Submit(NodeId seed, const SubmitOptions& submit,
+                               QueryCallback done) {
+  Enqueue(seed, 0, submit, done, /*stale_if_stopping=*/false);
+}
+
+void AsyncQueryService::SubmitTopK(NodeId seed, size_t k,
+                                   const SubmitOptions& submit,
+                                   QueryCallback done) {
+  HKPR_CHECK(k > 0) << "top-k query needs k >= 1";
+  Enqueue(seed, k, submit, done, /*stale_if_stopping=*/false);
 }
 
 QueryHandle AsyncQueryService::Submit(NodeId seed,
                                       const SubmitOptions& submit) {
-  return *Enqueue(seed, 0, submit, /*stale_if_stopping=*/false);
+  SubmitOptions options = submit;
+  QueryCallback done;
+  QueryHandle handle = MakeQueryHandle(&options, &done);
+  Submit(seed, options, std::move(done));
+  return handle;
 }
 
 QueryHandle AsyncQueryService::SubmitTopK(NodeId seed, size_t k,
                                           const SubmitOptions& submit) {
-  HKPR_CHECK(k > 0) << "top-k query needs k >= 1";
-  return *Enqueue(seed, k, submit, /*stale_if_stopping=*/false);
+  SubmitOptions options = submit;
+  QueryCallback done;
+  QueryHandle handle = MakeQueryHandle(&options, &done);
+  SubmitTopK(seed, k, options, std::move(done));
+  return handle;
 }
 
-std::optional<QueryHandle> AsyncQueryService::TrySubmit(
-    NodeId seed, const SubmitOptions& submit) {
-  return Enqueue(seed, 0, submit, /*stale_if_stopping=*/true);
+bool AsyncQueryService::TrySubmit(NodeId seed, const SubmitOptions& submit,
+                                  QueryCallback& done) {
+  return Enqueue(seed, 0, submit, done, /*stale_if_stopping=*/true);
 }
 
-std::optional<QueryHandle> AsyncQueryService::TrySubmitTopK(
-    NodeId seed, size_t k, const SubmitOptions& submit) {
+bool AsyncQueryService::TrySubmitTopK(NodeId seed, size_t k,
+                                      const SubmitOptions& submit,
+                                      QueryCallback& done) {
   HKPR_CHECK(k > 0) << "top-k query needs k >= 1";
-  return Enqueue(seed, k, submit, /*stale_if_stopping=*/true);
+  return Enqueue(seed, k, submit, done, /*stale_if_stopping=*/true);
 }
 
 size_t AsyncQueryService::StealInto(uint32_t thief, std::vector<Request>& batch,
@@ -372,7 +437,7 @@ void AsyncQueryService::WorkerLoop(uint32_t worker_id) {
       // stopping_ is set before the shutdown drain, and pending_ counts
       // every admitted-but-unprocessed request (including ones a raced
       // submitter has claimed but not yet pushed — those resolve under the
-      // shard lock), so this exit condition cannot strand a future.
+      // shard lock), so this exit condition cannot strand a callback.
       if (stopping_.load() && pending_.load() == 0) return;
       std::unique_lock<std::mutex> lock(home.mu);
       // The timeout doubles as the steal-poll period: a worker whose own
@@ -421,15 +486,14 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
                                 std::vector<Deferred>& deferred) {
   const bool traced = telemetry_.enabled();
   if (traced) request.trace.dequeue = Clock::now();
-  if (request.cancelled->load(std::memory_order_relaxed)) {
+  if (request.cancelled != nullptr &&
+      request.cancelled->load(std::memory_order_relaxed)) {
     // A cancelled hedge request means its primary already won the
     // arbitration: drop it silently — the query completed normally, so
-    // neither the cancelled counter nor a promise should fire.
+    // neither the cancelled counter nor a callback should fire.
     if (request.is_hedge) return;
-    QueryResult result;
-    result.status = QueryStatus::kCancelled;
     stats_.RecordCancelled();
-    request.promise.set_value(std::move(result));
+    CompleteWith(request.done, QueryStatus::kCancelled);
     return;
   }
   if (request.deadline != Clock::time_point::max() &&
@@ -437,10 +501,8 @@ void AsyncQueryService::Process(QueryExecutor& executor, Request& request,
     // An over-deadline hedge is just a backup that arrived too late;
     // the primary (which passed this check before computing) answers.
     if (request.is_hedge) return;
-    QueryResult result;
-    result.status = QueryStatus::kExpired;
     stats_.RecordExpired();
-    request.promise.set_value(std::move(result));
+    CompleteWith(request.done, QueryStatus::kExpired);
     return;
   }
 
@@ -528,11 +590,11 @@ void AsyncQueryService::MaybeRegisterHedge(Request& request) {
     std::lock_guard<std::mutex> lock(hedge_mu_);
     if (stopping_.load(std::memory_order_relaxed) ||
         hedge_board_.size() >= options_.hedge.max_pending) {
-      return;  // run unhedged; the caller's promise stays on the request
+      return;  // run unhedged; the caller's callback stays on the request
     }
-    // From here on the caller's future is settled through the state:
-    // whichever side wins the claimed CAS fulfills it exactly once.
-    state->promise = std::move(request.promise);
+    // From here on the caller's callback is settled through the state:
+    // whichever side wins the claimed CAS calls it exactly once.
+    state->done = std::move(request.done);
     request.hedge = state;
     wake_monitor = entry.fire_at < hedge_wakeup_at_;
     hedge_board_.push_back(std::move(entry));
@@ -583,10 +645,12 @@ void AsyncQueryService::FireHedge(PendingHedge&& entry) {
       pending_.fetch_sub(1);
       return;
     }
+    // Counted before the push: once a worker can see the runner-up it may
+    // win and count hedge_wins, which must never overtake hedged.
+    stats_.RecordHedged();
     shard.queue.push_back(std::move(request));
   }
   shard.cv.notify_one();
-  stats_.RecordHedged();
 }
 
 void AsyncQueryService::HedgeMonitorLoop() {
@@ -631,9 +695,9 @@ void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate,
                                 bool from_cache) {
   if (request.hedge != nullptr &&
       request.hedge->claimed.exchange(true, std::memory_order_acq_rel)) {
-    // Lost the arbitration: the other side already fulfilled the caller
+    // Lost the arbitration: the other side already completed the caller
     // (and recorded the completion), so this result is discarded whole —
-    // no counters, no event, no promise. Its cache Complete (if any)
+    // no counters, no event, no callback. Its cache Complete (if any)
     // already happened and is harmless: plan-keyed entries can't collide.
     return;
   }
@@ -666,9 +730,11 @@ void AsyncQueryService::Fulfill(Request& request, CachedEstimate estimate,
   }
   stats_.RecordCompleted(latency_s);
   if (telemetry_.enabled()) RecordTrace(request, complete);
-  std::promise<QueryResult>& promise =
-      request.hedge != nullptr ? request.hedge->promise : request.promise;
-  promise.set_value(std::move(result));
+  // Moved out first, so whatever the callback captured is released when it
+  // returns, not when the losing hedge side lets go of the shared state.
+  QueryCallback done =
+      std::move(request.hedge != nullptr ? request.hedge->done : request.done);
+  done(std::move(result));
 }
 
 void AsyncQueryService::RecordTrace(Request& request,

@@ -3,10 +3,23 @@
 // AsyncQueryService turns the synchronous query-engine building blocks
 // (per-thread backend QueryExecutors, reusable workspaces — see
 // hkpr/queries.h) into a service: callers Submit() single-seed or top-k
-// queries and get std::future-based handles back; dedicated worker threads
-// answer each request on their private executor. The estimator the workers
-// run is any backend registered in the EstimatorRegistry (hkpr/backend.h),
-// selected by name via ServiceOptions::backend.
+// queries with a QueryCallback, and dedicated worker threads answer each
+// request on their private executor. The estimator the workers run is any
+// backend registered in the EstimatorRegistry (hkpr/backend.h), selected by
+// name via ServiceOptions::backend.
+//
+// Completion model: the callback is the only way a query completes. It runs
+// exactly once per accepted submission, for every terminal status, on the
+// thread that settles the query:
+//  - the submitting thread, inside Submit(), for answers known at
+//    submission: cache hits on a completed entry, admission rejections and
+//    invalid plans;
+//  - a worker thread for everything else (misses, coalesced followers,
+//    cancellations, expiries, hedged computes).
+// A callback must therefore be cheap and must not wait on this service, and
+// a caller must not hold a lock across Submit() that its own callback takes.
+// The future-returning Submit()/SubmitTopK() overloads are thin wrappers
+// that fulfill a promise from the callback.
 //
 // Submission is sharded: each worker owns a private FIFO shard (lock +
 // condition variable + deque), and submitters spread requests round-robin
@@ -36,10 +49,11 @@
 // submitted with.
 //
 // In front of the workers sits a sharded single-flight ResultCache: repeat
-// queries for a hot (seed, plan) pair are served from the cache without
-// recomputing, and concurrent requests for the same cold key wait on one
-// in-flight computation. Cache keys embed the *full resolved plan*
-// (backend id + every parameter), so two distinct plans can never serve
+// queries for a hot (seed, plan) pair are answered from the cache on the
+// submitting thread (no shard push, no worker wakeup), and concurrent
+// requests for the same cold key wait on one in-flight computation. Cache
+// keys embed the *full resolved plan* (backend id + every parameter), so
+// two distinct plans can never serve
 // each other's entries — and the same resolved plan reached via routing,
 // an explicit override, or the default shares one entry, which is exactly
 // the dedup a cache wants. Each computation ranks its estimate once for
@@ -74,10 +88,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -162,7 +176,8 @@ struct ServiceOptions {
 enum class QueryStatus : uint8_t {
   kOk = 0,
   kRejected,   ///< refused at admission (queue full or service stopping)
-  kCancelled,  ///< QueryHandle::Cancel() won the race with the worker
+  kCancelled,  ///< its cancel flag (SubmitOptions::cancel, set by
+               ///< QueryHandle::Cancel()) was raised while still queued
   kExpired,    ///< the deadline passed before a worker picked it up
   kUnknownGraph,  ///< the named graph is not in the GraphStore
                   ///< (MultiGraphService sharding; never set by a
@@ -181,7 +196,7 @@ enum class QueryStatus : uint8_t {
 /// Printable name of a QueryStatus ("ok", "rejected", ...).
 const char* QueryStatusName(QueryStatus status);
 
-/// What the future resolves to.
+/// What a query completes with.
 struct QueryResult {
   QueryStatus status = QueryStatus::kRejected;
   /// The (possibly cached) estimate; set when status == kOk.
@@ -205,7 +220,28 @@ struct QueryResult {
   uint64_t graph_version = 0;
 };
 
-/// Caller-side handle: the future plus a cancellation flag. Cancel() is
+/// Completion callback of one query: called exactly once with its terminal
+/// result (see the header comment for which thread runs it).
+using QueryCallback = std::function<void(QueryResult)>;
+
+/// Per-request submission options.
+struct SubmitOptions {
+  /// Relative deadline; the zero duration (default) means none. A request
+  /// whose deadline has passed when a worker dequeues it completes with
+  /// kExpired without being computed.
+  std::chrono::steady_clock::duration timeout{};
+  /// Optional cancellation flag: set to true while the request is still
+  /// queued, it completes with kCancelled instead of computing.
+  std::shared_ptr<std::atomic<bool>> cancel;
+  /// Per-request plan overrides: an explicit backend ("auto" to route
+  /// adaptively) and/or t / eps_r / delta overrides composed onto the
+  /// service defaults. A request naming an unregistered backend or
+  /// out-of-range parameters (see ServableParams) completes immediately
+  /// with kInvalidArgument.
+  PlanOverrides plan;
+};
+
+/// Future-style handle: the future plus a cancellation flag. Cancel() is
 /// advisory — it wins only if the request is still queued.
 class QueryHandle {
  public:
@@ -216,23 +252,15 @@ class QueryHandle {
   }
 
  private:
-  friend class AsyncQueryService;
+  friend QueryHandle MakeQueryHandle(SubmitOptions* submit,
+                                     QueryCallback* done);
   std::shared_ptr<std::atomic<bool>> cancel_;
 };
 
-/// Per-request submission options.
-struct SubmitOptions {
-  /// Relative deadline; the zero duration (default) means none. A request
-  /// whose deadline has passed when a worker dequeues it completes with
-  /// kExpired without being computed.
-  std::chrono::steady_clock::duration timeout{};
-  /// Per-request plan overrides: an explicit backend ("auto" to route
-  /// adaptively) and/or t / eps_r / delta overrides composed onto the
-  /// service defaults. A request naming an unregistered backend or
-  /// out-of-range parameters (see ServableParams) completes immediately
-  /// with kInvalidArgument.
-  PlanOverrides plan;
-};
+/// Adapts the callback API to a QueryHandle: sets `*done` to a callback
+/// that fulfills the returned handle's future, and gives `*submit` the
+/// handle's cancel flag (creating one unless the caller set it).
+QueryHandle MakeQueryHandle(SubmitOptions* submit, QueryCallback* done);
 
 /// The async serving frontend. All public methods are thread-safe; the
 /// destructor stops admission, drains the queue and joins the workers.
@@ -253,8 +281,8 @@ class AsyncQueryService {
   ~AsyncQueryService();
 
   /// Stops admission, drains the queue, and joins the workers. Idempotent
-  /// and thread-safe; every queued request's future resolves before this
-  /// returns. Submit() after Shutdown() completes with kRejected. The
+  /// and thread-safe; every accepted request's callback has run before
+  /// this returns. Submit() after Shutdown() completes with kRejected. The
   /// destructor calls this — an explicit call makes "graceful drain"
   /// observable (e.g. before folding final stats on graph removal).
   void Shutdown();
@@ -262,24 +290,33 @@ class AsyncQueryService {
   AsyncQueryService(const AsyncQueryService&) = delete;
   AsyncQueryService& operator=(const AsyncQueryService&) = delete;
 
-  /// Enqueues a full-vector HKPR query for `seed`.
-  QueryHandle Submit(NodeId seed, const SubmitOptions& submit = {});
+  /// Submits a full-vector HKPR query for `seed`; `done` receives its
+  /// result. A hit on a completed cache entry runs `done` before this
+  /// returns.
+  void Submit(NodeId seed, const SubmitOptions& submit, QueryCallback done);
 
-  /// Enqueues a top-k proximity query for `seed`. The result's `top_k` is
+  /// Submits a top-k proximity query for `seed`. The result's `top_k` is
   /// TopKNormalized of the estimate; the estimate itself is also attached.
+  void SubmitTopK(NodeId seed, size_t k, const SubmitOptions& submit,
+                  QueryCallback done);
+
+  /// Future-returning forms of the two calls above.
+  QueryHandle Submit(NodeId seed, const SubmitOptions& submit = {});
   QueryHandle SubmitTopK(NodeId seed, size_t k,
                          const SubmitOptions& submit = {});
 
-  /// Like Submit()/SubmitTopK(), but returns nullopt instead of a
-  /// kRejected handle when the service has already been shut down — the
-  /// signal a routing layer (MultiGraphService) uses to re-resolve and
-  /// retry on the replacement service after a hot-swap/drop, without
-  /// holding its registry lock across the enqueue. Queue-full rejections
-  /// still resolve kRejected (that is admission control, not staleness).
-  std::optional<QueryHandle> TrySubmit(NodeId seed,
-                                       const SubmitOptions& submit = {});
-  std::optional<QueryHandle> TrySubmitTopK(NodeId seed, size_t k,
-                                           const SubmitOptions& submit = {});
+  /// Like Submit()/SubmitTopK(), but returns false — without calling or
+  /// moving from `done` — instead of completing kRejected when the service
+  /// has already been shut down: the signal a routing layer
+  /// (MultiGraphService) uses to re-resolve and retry on the replacement
+  /// service after a hot-swap/drop, without holding its registry lock
+  /// across the enqueue. On true `done` was moved from and runs exactly
+  /// once. Queue-full rejections still complete kRejected (that is
+  /// admission control, not staleness).
+  bool TrySubmit(NodeId seed, const SubmitOptions& submit,
+                 QueryCallback& done);
+  bool TrySubmitTopK(NodeId seed, size_t k, const SubmitOptions& submit,
+                     QueryCallback& done);
 
   /// Drops every cached estimate and bumps the cache version (call after
   /// swapping/mutating the graph the estimates were computed on). No-op
@@ -355,10 +392,10 @@ class AsyncQueryService {
 
  private:
   /// Arbitration state shared between a hedged primary request and its
-  /// runner-up. The caller's promise moves in here when the hedge is
-  /// registered; whichever side wins the `claimed` CAS fulfills it, and
-  /// the loser's Fulfill returns without touching stats or telemetry (a
-  /// query completes exactly once). `hedge_cancelled` doubles as the
+  /// runner-up. The caller's callback moves in here when the hedge is
+  /// registered; whichever side wins the `claimed` CAS calls it, and the
+  /// loser's Fulfill returns without touching stats or telemetry (a query
+  /// completes exactly once). `hedge_cancelled` doubles as the
   /// hedge request's cancel flag: the primary sets it on winning, so a
   /// still-queued hedge is dropped without computing.
   struct HedgeState {
@@ -366,7 +403,7 @@ class AsyncQueryService {
     /// Set by the monitor just before the runner-up is enqueued; read
     /// into the winning RoutingEvent's `hedged` stamp.
     std::atomic<bool> fired{false};
-    std::promise<QueryResult> promise;
+    QueryCallback done;
     std::shared_ptr<std::atomic<bool>> hedge_cancelled;
   };
 
@@ -376,8 +413,8 @@ class AsyncQueryService {
     uint64_t query_index = 0;
     std::chrono::steady_clock::time_point submit_time;
     std::chrono::steady_clock::time_point deadline;  // max() = none
-    std::shared_ptr<std::atomic<bool>> cancelled;
-    std::promise<QueryResult> promise;
+    std::shared_ptr<std::atomic<bool>> cancelled;  // null = not cancellable
+    QueryCallback done;
     /// The fully resolved plan, fixed at submission time: a later default
     /// switch never retroactively changes what a queued request runs.
     QueryPlan plan;
@@ -390,10 +427,10 @@ class AsyncQueryService {
     bool routed = false;
     CacheOutcome cache_outcome = CacheOutcome::kNone;
     /// Non-null once this request entered hedged arbitration; the
-    /// caller's promise then lives in the state, not in `promise`.
+    /// caller's callback then lives in the state, not in `done`.
     std::shared_ptr<HedgeState> hedge;
-    /// True for the monitor-submitted runner-up side (its `promise` is a
-    /// dummy and it skips the submission/cancel/expire counters).
+    /// True for the monitor-submitted runner-up side (it has no `done` of
+    /// its own and skips the submission/cancel/expire counters).
     bool is_hedge = false;
   };
 
@@ -435,10 +472,11 @@ class AsyncQueryService {
   };
 
   /// Shared enqueue; `stale_if_stopping` selects the TrySubmit contract
-  /// (nullopt once shut down) over the kRejected handle.
-  std::optional<QueryHandle> Enqueue(NodeId seed, size_t k,
-                                     const SubmitOptions& submit,
-                                     bool stale_if_stopping);
+  /// (false, `done` untouched, once shut down) over completing kRejected.
+  /// A hit on a completed cache entry is answered here, after the
+  /// admission and query-index claims, on the submitting thread.
+  bool Enqueue(NodeId seed, size_t k, const SubmitOptions& submit,
+               QueryCallback& done, bool stale_if_stopping);
   void WorkerLoop(uint32_t worker_id);
   /// Moves up to min(max_batch, half) waiting requests from the *front* of
   /// the first non-empty victim shard into `batch` (oldest first, so
@@ -451,7 +489,7 @@ class AsyncQueryService {
                std::vector<Deferred>& deferred);
   void Fulfill(Request& request, CachedEstimate estimate, bool from_cache);
   /// Arms a hedge for a routed request about to compute: asks the policy
-  /// for advice, moves the caller's promise into a HedgeState and posts
+  /// for advice, moves the caller's callback into a HedgeState and posts
   /// the runner-up plan on the monitor's board. No-op (and the request
   /// stays un-hedged) when hedging is off, the policy declines, the
   /// board is full, or the service is stopping.
@@ -529,7 +567,9 @@ class AsyncQueryService {
   /// Set once by Shutdown() (seq_cst, paired with a per-shard lock fence):
   /// a submitter that already passed admission either lands its request in
   /// a shard before the drain, or observes stopping_ under the shard lock
-  /// and rejects inline — no future is ever stranded.
+  /// and rejects inline — no callback is ever stranded. An inline cache
+  /// hit holds its pending_ slot until its callback returned, so the drain
+  /// (which waits for pending_ == 0) also outlasts it.
   std::atomic<bool> stopping_{false};
   std::once_flag shutdown_once_;
 };

@@ -50,7 +50,7 @@ MultiGraphService::~MultiGraphService() {
     services.swap(services_);
   }
   // Drain everything before the map releases its references so every
-  // handed-out future resolves. No stats fold here: the accumulators die
+  // accepted callback runs. No stats fold here: the accumulators die
   // with the object, so there is nothing left to read them.
   for (auto& [name, service] : services) service->Shutdown();
 }
@@ -336,62 +336,76 @@ std::shared_ptr<AsyncQueryService> MultiGraphService::ServiceFor(
   }
 }
 
-QueryHandle MultiGraphService::ErrorHandle(QueryStatus status) {
+void MultiGraphService::Fail(QueryStatus status, QueryCallback& done) {
   if (status == QueryStatus::kUnknownGraph) {
     unknown_graph_rejects_.fetch_add(1, std::memory_order_relaxed);
   } else if (status == QueryStatus::kInvalidArgument) {
     invalid_argument_rejects_.fetch_add(1, std::memory_order_relaxed);
   }
-  QueryHandle handle;
-  std::promise<QueryResult> promise;
-  handle.result = promise.get_future();
   QueryResult result;
   result.status = status;
-  promise.set_value(std::move(result));
-  return handle;
+  done(std::move(result));
 }
 
-QueryHandle MultiGraphService::SubmitImpl(
-    std::string_view graph, NodeId seed,
-    const std::function<std::optional<QueryHandle>(AsyncQueryService&)>&
-        enqueue) {
+void MultiGraphService::SubmitImpl(std::string_view graph, NodeId seed,
+                                   size_t k, const SubmitOptions& submit,
+                                   QueryCallback& done) {
   // Resolve (short registry lock), then enqueue with no lock held: the
   // resolved service's snapshot is immutable, so the seed check needs no
-  // lock, and TrySubmit* returns nullopt if a Publish()/Drop() drained
-  // the service between resolve and enqueue — we then re-resolve onto the
+  // lock, and TrySubmit* returns false if a Publish()/Drop() drained the
+  // service between resolve and enqueue — we then re-resolve onto the
   // replacement. Each retry implies the store moved, so the loop
   // terminates with the publish traffic.
   for (;;) {
     std::shared_ptr<AsyncQueryService> service = ServiceFor(graph);
-    if (service == nullptr) return ErrorHandle(QueryStatus::kUnknownGraph);
+    if (service == nullptr) return Fail(QueryStatus::kUnknownGraph, done);
     // Validated against the resolved snapshot — out-of-range seeds are
     // reported, never check-failed. A swap between this check and the
-    // enqueue surfaces as nullopt and re-validates on the new snapshot.
+    // enqueue surfaces as a stale TrySubmit and re-validates on the new
+    // snapshot.
     if (seed >= service->graph().NumNodes()) {
-      return ErrorHandle(QueryStatus::kInvalidArgument);
+      return Fail(QueryStatus::kInvalidArgument, done);
     }
-    std::optional<QueryHandle> handle = enqueue(*service);
-    if (handle.has_value()) return std::move(*handle);
+    const bool accepted = k == 0
+                              ? service->TrySubmit(seed, submit, done)
+                              : service->TrySubmitTopK(seed, k, submit, done);
+    if (accepted) return;
   }
+}
+
+void MultiGraphService::Submit(std::string_view graph, NodeId seed,
+                               const SubmitOptions& submit,
+                               QueryCallback done) {
+  SubmitImpl(graph, seed, 0, submit, done);
+}
+
+void MultiGraphService::SubmitTopK(std::string_view graph, NodeId seed,
+                                   size_t k, const SubmitOptions& submit,
+                                   QueryCallback done) {
+  // Same report-don't-check-fail policy as the seed range: k is external
+  // input on this path, so a malformed request must not abort the process
+  // serving every graph.
+  if (k == 0) return Fail(QueryStatus::kInvalidArgument, done);
+  SubmitImpl(graph, seed, k, submit, done);
 }
 
 QueryHandle MultiGraphService::Submit(std::string_view graph, NodeId seed,
                                       const SubmitOptions& submit) {
-  return SubmitImpl(graph, seed, [&](AsyncQueryService& service) {
-    return service.TrySubmit(seed, submit);
-  });
+  SubmitOptions options = submit;
+  QueryCallback done;
+  QueryHandle handle = MakeQueryHandle(&options, &done);
+  Submit(graph, seed, options, std::move(done));
+  return handle;
 }
 
 QueryHandle MultiGraphService::SubmitTopK(std::string_view graph, NodeId seed,
                                           size_t k,
                                           const SubmitOptions& submit) {
-  // Same report-don't-check-fail policy as the seed range: k is external
-  // input on this path, so a malformed request must not abort the process
-  // serving every graph.
-  if (k == 0) return ErrorHandle(QueryStatus::kInvalidArgument);
-  return SubmitImpl(graph, seed, [&](AsyncQueryService& service) {
-    return service.TrySubmitTopK(seed, k, submit);
-  });
+  SubmitOptions options = submit;
+  QueryCallback done;
+  QueryHandle handle = MakeQueryHandle(&options, &done);
+  SubmitTopK(graph, seed, k, options, std::move(done));
+  return handle;
 }
 
 uint64_t MultiGraphService::Publish(std::string_view name, Graph graph) {
@@ -440,9 +454,9 @@ bool MultiGraphService::Drop(std::string_view name) {
     auto router_it = routers_.find(name);
     if (router_it != routers_.end()) routers_.erase(router_it);
   }
-  // Graceful drain, synchronously: every future already handed out for
-  // this graph resolves — and the final counters are folded — before
-  // Drop returns.
+  // Graceful drain, synchronously: every callback already accepted for
+  // this graph runs — and the final counters are folded — before Drop
+  // returns.
   if (service != nullptr) FinishRetire(name, service);
   return existed;
 }

@@ -30,7 +30,7 @@
 // returned for a post-swap query.
 //
 // Removal: Drop() takes the graph out of the store and synchronously
-// drains its service (every queued future resolves before Drop returns).
+// drains its service (every queued callback runs before Drop returns).
 // Queries for unknown or dropped graphs complete immediately with
 // QueryStatus::kUnknownGraph — never a silent fallback to another graph.
 //
@@ -55,7 +55,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -115,16 +114,24 @@ class MultiGraphService {
   MultiGraphService(const MultiGraphService&) = delete;
   MultiGraphService& operator=(const MultiGraphService&) = delete;
 
-  /// Enqueues a full-vector HKPR query for `seed` on graph `graph`.
-  /// Unknown graphs complete immediately with kUnknownGraph; a seed out
-  /// of range for the graph's current snapshot (a racy condition under
-  /// hot-swap, so validated here against the resolved snapshot, never
-  /// check-failed) completes with kInvalidArgument.
+  /// Submits a full-vector HKPR query for `seed` on graph `graph`; `done`
+  /// runs exactly once with the result (AsyncQueryService's completion
+  /// model: on this thread for cache hits and immediate errors). Unknown
+  /// graphs complete immediately with kUnknownGraph; a seed out of range
+  /// for the graph's current snapshot (a racy condition under hot-swap,
+  /// so validated here against the resolved snapshot, never check-failed)
+  /// completes with kInvalidArgument.
+  void Submit(std::string_view graph, NodeId seed, const SubmitOptions& submit,
+              QueryCallback done);
+
+  /// Submits a top-k proximity query on graph `graph`. k == 0 completes
+  /// with kInvalidArgument (same report-don't-abort policy as the seed).
+  void SubmitTopK(std::string_view graph, NodeId seed, size_t k,
+                  const SubmitOptions& submit, QueryCallback done);
+
+  /// Future-returning forms of the two calls above.
   QueryHandle Submit(std::string_view graph, NodeId seed,
                      const SubmitOptions& submit = {});
-
-  /// Enqueues a top-k proximity query on graph `graph`. k == 0 completes
-  /// with kInvalidArgument (same report-don't-abort policy as the seed).
   QueryHandle SubmitTopK(std::string_view graph, NodeId seed, size_t k,
                          const SubmitOptions& submit = {});
 
@@ -134,7 +141,7 @@ class MultiGraphService {
   uint64_t Publish(std::string_view name, Graph graph);
 
   /// Removes `name` from the store and synchronously drains its service;
-  /// every already-submitted future resolves before this returns, and the
+  /// every already-submitted callback runs before this returns, and the
   /// drained service's counters are folded into the retired stats.
   /// Returns false if the store did not contain `name`.
   bool Drop(std::string_view name);
@@ -310,21 +317,20 @@ class MultiGraphService {
       std::string_view name, const std::shared_ptr<AsyncQueryService>& fresh,
       std::shared_ptr<AsyncQueryService>* retired);
 
-  /// The resolve-then-enqueue loop shared by Submit and SubmitTopK.
-  /// `enqueue` (a TrySubmit* wrapper) runs with NO registry lock held —
-  /// submissions to different graphs never serialize on mu_. Swap-safety
-  /// comes from the TrySubmit contract instead: a service drained by a
-  /// concurrent Publish()/Drop() returns nullopt, and the loop re-resolves
-  /// onto the replacement (or reports kUnknownGraph after a drop) — an
-  /// accepted (enqueued) query is still never bounced by a swap.
-  QueryHandle SubmitImpl(
-      std::string_view graph, NodeId seed,
-      const std::function<std::optional<QueryHandle>(AsyncQueryService&)>&
-          enqueue);
+  /// The resolve-then-enqueue loop shared by Submit and SubmitTopK (k == 0
+  /// for a full-vector query). The TrySubmit* call runs with NO registry
+  /// lock held — submissions to different graphs never serialize on mu_.
+  /// Swap-safety comes from the TrySubmit contract instead: a service
+  /// drained by a concurrent Publish()/Drop() returns false and leaves
+  /// `done` untouched, and the loop re-resolves onto the replacement (or
+  /// reports kUnknownGraph after a drop) — an accepted (enqueued) query is
+  /// still never bounced by a swap.
+  void SubmitImpl(std::string_view graph, NodeId seed, size_t k,
+                  const SubmitOptions& submit, QueryCallback& done);
 
-  /// An immediately-resolved handle carrying `status` (kUnknownGraph
-  /// bumps the reject counter).
-  QueryHandle ErrorHandle(QueryStatus status);
+  /// Completes `done` with `status` (kUnknownGraph and kInvalidArgument
+  /// bump their reject counters).
+  void Fail(QueryStatus status, QueryCallback& done);
 
   /// Graph `name`'s LearnedRouter, creating it on first use (BuildService
   /// wires it into every incarnation of the graph's service). mu_ held.

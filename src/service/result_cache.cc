@@ -115,6 +115,15 @@ ResultCache::Lookup ResultCache::LookupOrStartCompute(
   return result;
 }
 
+CachedEstimate ResultCache::Peek(const ResultCacheKey& key) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.map.find(key);
+  if (it == shard.map.end() || !it->second.ready) return nullptr;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+  return it->second.value;
+}
+
 void ResultCache::Complete(
     const ResultCacheKey& key,
     const std::shared_ptr<std::promise<CachedEstimate>>& leader,

@@ -126,6 +126,11 @@ class ResultCache {
   /// promise — followers block on it.
   Lookup LookupOrStartCompute(const ResultCacheKey& key);
 
+  /// The completed value for `key` (refreshing its LRU position), or null
+  /// when the key is absent or still in flight. Never registers a leader:
+  /// a miss leaves the key untouched for LookupOrStartCompute().
+  CachedEstimate Peek(const ResultCacheKey& key);
+
   /// Publishes the leader's computed value: fulfills the promise (waking
   /// any coalesced followers) and marks the entry completed in LRU order.
   /// Safe to call after an Invalidate() raced away the entry — followers

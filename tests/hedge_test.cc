@@ -1,6 +1,6 @@
 // Tests for hedged requests (AsyncQueryService + HedgeOptions): hedged
 // results are bit-identical to directly invoking whichever backend won,
-// a query completes exactly once whichever side wins, the hedged /
+// a query's callback runs exactly once whichever side wins, the hedged /
 // hedge_wins counters and RoutingEvent stamps stay consistent, and
 // hedging is inert when disabled, un-advised (rule router), or pinned.
 
@@ -16,6 +16,7 @@
 #include "hkpr/queries.h"
 #include "hkpr/router.h"
 #include "service/async_query_service.h"
+#include "service_test_util.h"
 
 namespace hkpr {
 namespace {
@@ -211,6 +212,59 @@ TEST(HedgeServiceTest, DisabledUnadvisedOrPinnedNeverHedges) {
     }
     EXPECT_EQ(service.Stats().hedged, 0u);
   }
+}
+
+/// Runs one query whose primary ("gated-hk-relax") and runner-up
+/// ("gated-hk-relax-2") are both held at their gates after the hedge
+/// fired, then releases `first` before `second`: the side released first
+/// wins. `probe` and `*stats` are read after the service has drained.
+void RunHeldHedge(testing::ComputeGate& first, testing::ComputeGate& second,
+                  testing::CallbackProbe& probe, ServiceStatsSnapshot* stats) {
+  testing::RegisterGatedBackend();
+  const Graph g = MakeRoutingGraph();
+  {
+    AsyncQueryService service(
+        g, TestParams(1e-3), 5,
+        HedgedOptions(std::make_shared<AlwaysHedgePolicy>(
+            "gated-hk-relax", "gated-hk-relax-2")));
+    testing::GateReleaser releaser;
+    testing::Gate().Arm();
+    testing::SecondGate().Arm();
+    service.Submit(450, {}, probe.Callback());
+    ASSERT_TRUE(testing::Gate().WaitEntered(1));
+    ASSERT_TRUE(testing::SecondGate().WaitEntered(1));
+    first.Release();
+    ASSERT_TRUE(probe.WaitCalled());
+    second.Release();
+    service.Shutdown();
+    *stats = service.Stats();
+  }
+}
+
+TEST(HedgeServiceTest, HedgeWinCompletesTheCallbackOnce) {
+  testing::CallbackProbe probe;
+  ServiceStatsSnapshot stats;
+  RunHeldHedge(testing::SecondGate(), testing::Gate(), probe, &stats);
+  EXPECT_EQ(probe.calls(), 1);
+  EXPECT_EQ(probe.result().status, QueryStatus::kOk);
+  EXPECT_EQ(probe.result().backend, "gated-hk-relax-2");
+  EXPECT_EQ(stats.hedged, 1u);
+  EXPECT_EQ(stats.hedge_wins, 1u);
+  EXPECT_EQ(stats.computed, 2u);  // the losing primary still finished
+  EXPECT_EQ(stats.completed, 1u);
+}
+
+TEST(HedgeServiceTest, HedgeLossCompletesTheCallbackOnce) {
+  testing::CallbackProbe probe;
+  ServiceStatsSnapshot stats;
+  RunHeldHedge(testing::Gate(), testing::SecondGate(), probe, &stats);
+  EXPECT_EQ(probe.calls(), 1);
+  EXPECT_EQ(probe.result().status, QueryStatus::kOk);
+  EXPECT_EQ(probe.result().backend, "gated-hk-relax");
+  EXPECT_EQ(stats.hedged, 1u);
+  EXPECT_EQ(stats.hedge_wins, 0u);
+  EXPECT_EQ(stats.computed, 2u);  // the losing runner-up still finished
+  EXPECT_EQ(stats.completed, 1u);
 }
 
 TEST(HedgeServiceTest, ShutdownWithArmedHedgesDrainsCleanly) {

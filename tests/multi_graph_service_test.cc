@@ -2,8 +2,9 @@
 // construction, the worker budget, the cross-backend determinism matrix
 // (MultiGraphService == BatchQueryEngine bit-for-bit for every registered
 // backend), versioned hot-swap under concurrent queries, cache
-// invalidation across Publish(), graceful drain on Drop(), and cumulative
-// per-graph stats across swaps.
+// invalidation across Publish(), graceful drain on Drop(), cumulative
+// per-graph stats across swaps, and exactly-once completion callbacks
+// across immediate errors and hot-swap retries.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "hkpr/queries.h"
 #include "service/graph_store.h"
 #include "service/multi_graph_service.h"
+#include "service_test_util.h"
 #include "test_util.h"
 
 namespace hkpr {
@@ -107,6 +109,62 @@ TEST(MultiGraphServiceTest, MalformedRequestsReportInvalidArgument) {
   EXPECT_EQ(service.Submit("g", 7).result.get().status,
             QueryStatus::kInvalidArgument);
   EXPECT_EQ(service.Submit("g", 3).result.get().status, QueryStatus::kOk);
+}
+
+TEST(MultiGraphServiceTest, ImmediateErrorsCompleteTheCallbackInline) {
+  GraphStore store;
+  store.Publish("g", testing::MakeComplete(8));
+  MultiGraphService service(store, TestParams(1e-2), 3, {});
+  testing::CallbackProbe unknown, stale_seed, zero_k;
+  service.Submit("nope", 0, {}, unknown.Callback());
+  service.Submit("g", 8, {}, stale_seed.Callback());
+  service.SubmitTopK("g", 1, 0, {}, zero_k.Callback());
+  // All three settled before Submit returned, exactly once.
+  EXPECT_EQ(unknown.calls(), 1);
+  EXPECT_EQ(unknown.result().status, QueryStatus::kUnknownGraph);
+  EXPECT_EQ(stale_seed.calls(), 1);
+  EXPECT_EQ(stale_seed.result().status, QueryStatus::kInvalidArgument);
+  EXPECT_EQ(zero_k.calls(), 1);
+  EXPECT_EQ(zero_k.result().status, QueryStatus::kInvalidArgument);
+}
+
+TEST(MultiGraphServiceStressTest, HotSwapRetriesNeverCallBackTwice) {
+  // Submissions race a stream of republishes, so some TrySubmit calls land
+  // on a service a swap just drained and are retried on its replacement.
+  // A retry must reuse the untouched callback: every query completes
+  // exactly once, with kOk (an accepted query is never bounced by a swap).
+  constexpr uint32_t kNodes = 120;
+  constexpr int kQueries = 400;
+  GraphStore store;
+  MultiGraphOptions options;
+  options.worker_budget = 2;
+  MultiGraphService service(store, TestParams(1e-2), 13, options);
+  service.Publish("g", PowerlawCluster(kNodes, 3, 0.3, 0));
+
+  std::vector<std::atomic<int>> calls(kQueries);
+  std::atomic<int> ok{0};
+  std::atomic<bool> stop{false};
+  std::thread publisher([&] {
+    for (uint32_t k = 1; k <= 60 && !stop.load(); ++k) {
+      service.Publish("g", PowerlawCluster(kNodes + k % 4, 3, 0.3, k));
+    }
+  });
+  for (int i = 0; i < kQueries; ++i) {
+    service.Submit("g", static_cast<NodeId>(i % kNodes), {},
+                   [&calls, &ok, i](QueryResult result) {
+                     calls[i].fetch_add(1);
+                     if (result.status == QueryStatus::kOk) ok.fetch_add(1);
+                   });
+  }
+  stop.store(true);
+  publisher.join();
+  // Every retired incarnation drained inside its Publish; Drop drains the
+  // live one, so every accepted callback has run by now.
+  ASSERT_TRUE(service.Drop("g"));
+  for (int i = 0; i < kQueries; ++i) {
+    EXPECT_EQ(calls[i].load(), 1) << "query " << i;
+  }
+  EXPECT_EQ(ok.load(), kQueries);
 }
 
 TEST(MultiGraphServiceTest, WorkerBudgetSplitsAcrossGraphs) {

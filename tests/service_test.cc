@@ -2,7 +2,9 @@
 // against the synchronous batch path, the result cache (hits never
 // recompute, single-flight dedup, LRU bounds, invalidation), top-k served
 // from the ranking stored with a cached estimate, admission control,
-// deadlines, cancellation, and the stats/latency plumbing.
+// deadlines, cancellation, the completion-callback contract (once per
+// terminal status, cache hits answered on the submitting thread), and the
+// stats/latency plumbing.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include "service/async_query_service.h"
 #include "service/result_cache.h"
 #include "service/service_stats.h"
+#include "service_test_util.h"
 #include "test_util.h"
 
 namespace hkpr {
@@ -460,72 +463,10 @@ TEST(AsyncQueryServiceTest, CompleteRankingServesAnyLargerK) {
   EXPECT_EQ(service.Stats().computed, 1u);
 }
 
-/// Blocks computations of the "gated-hk-relax" test backend while armed,
-/// so a test can hold a single-flight leader in flight.
-struct ComputeGate {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool armed = false;
-  int entered = 0;  // computations blocked so far while armed
-};
-
-ComputeGate& Gate() {
-  static ComputeGate gate;
-  return gate;
-}
-
-/// Disarms the gate on scope exit, releasing any blocked computation.
-struct GateReleaser {
-  ~GateReleaser() {
-    {
-      std::lock_guard<std::mutex> lock(Gate().mu);
-      Gate().armed = false;
-    }
-    Gate().cv.notify_all();
-  }
-};
-
-/// HK-Relax behind the gate. Disarmed it answers exactly as "hk-relax",
-/// so tests that iterate every registered backend are unaffected.
-class GatedEstimator : public WorkspaceEstimator {
- public:
-  explicit GatedEstimator(std::unique_ptr<WorkspaceEstimator> inner)
-      : inner_(std::move(inner)) {}
-  const SparseVector& EstimateInto(NodeId seed, QueryWorkspace& ws,
-                                   EstimatorStats* stats) override {
-    ComputeGate& gate = Gate();
-    {
-      std::unique_lock<std::mutex> lock(gate.mu);
-      if (gate.armed) {
-        ++gate.entered;
-        gate.cv.notify_all();
-        gate.cv.wait(lock, [&] { return !gate.armed; });
-      }
-    }
-    return inner_->EstimateInto(seed, ws, stats);
-  }
-  void Reseed(uint64_t seed) override { inner_->Reseed(seed); }
-  std::string_view name() const override { return "Gated-HK-Relax"; }
-
- private:
-  std::unique_ptr<WorkspaceEstimator> inner_;
-};
-
-void RegisterGatedBackend() {
-  EstimatorRegistry& registry = EstimatorRegistry::Global();
-  if (registry.Contains("gated-hk-relax")) return;
-  BackendInfo info;
-  info.name = "gated-hk-relax";
-  info.algorithm = "HK-Relax that can be held in flight (test backend)";
-  info.randomized = false;
-  info.factory = [](const Graph& graph, const ApproxParams& params,
-                    uint64_t seed, const BackendContext& context) {
-    return std::unique_ptr<WorkspaceEstimator>(new GatedEstimator(
-        EstimatorRegistry::Global().Create("hk-relax", graph, params, seed,
-                                           context)));
-  };
-  registry.Register(std::move(info));
-}
+using testing::ComputeGate;
+using testing::Gate;
+using testing::GateReleaser;
+using testing::RegisterGatedBackend;
 
 TEST(AsyncQueryServiceTest, CoalescedFollowerWithLargerKRanksItsOwnK) {
   RegisterGatedBackend();
@@ -578,6 +519,226 @@ TEST(AsyncQueryServiceTest, CoalescedFollowerWithLargerKRanksItsOwnK) {
                     TopKNormalized(g, *followed.estimate, 30));
   EXPECT_EQ(followed.top_k.size(), 30u);
   EXPECT_EQ(service.Stats().computed, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The completion contract: a QueryCallback runs exactly once per accepted
+// submission, for every terminal status; hits on completed entries are
+// answered on the submitting thread without changing admission or the
+// query-index sequence.
+
+using testing::CallbackProbe;
+
+TEST(AsyncQueryServiceTest, CallbackRunsOnceForEveryTerminalStatus) {
+  RegisterGatedBackend();
+  Graph g = PowerlawCluster(400, 4, 0.3, 10);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.backend.name = "gated-hk-relax";
+  CallbackProbe miss, hit, invalid, blocker, cancelled, expired, rejected;
+  {
+    AsyncQueryService service(g, TestParams(1e-5), 31, options);
+    GateReleaser releaser;
+
+    service.Submit(17, {}, miss.Callback());
+    ASSERT_TRUE(miss.WaitCalled());
+    service.Submit(17, {}, hit.Callback());
+    SubmitOptions bogus;
+    bogus.plan.backend = "no-such-backend";
+    service.Submit(17, bogus, invalid.Callback());
+
+    // Hold the only worker, then queue one request to cancel and one that
+    // expires while it waits.
+    Gate().Arm();
+    service.Submit(40, {}, blocker.Callback());
+    ASSERT_TRUE(Gate().WaitEntered(1));
+    SubmitOptions cancel;
+    cancel.cancel = std::make_shared<std::atomic<bool>>(false);
+    service.Submit(41, cancel, cancelled.Callback());
+    cancel.cancel->store(true);
+    SubmitOptions deadline;
+    deadline.timeout = std::chrono::nanoseconds(1);
+    service.Submit(42, deadline, expired.Callback());
+    Gate().Release();
+
+    service.Shutdown();
+    service.Submit(43, {}, rejected.Callback());
+  }
+  // The service is gone: every callback has run, and none ran twice.
+  const std::pair<CallbackProbe*, QueryStatus> expected[] = {
+      {&miss, QueryStatus::kOk},
+      {&hit, QueryStatus::kOk},
+      {&invalid, QueryStatus::kInvalidArgument},
+      {&blocker, QueryStatus::kOk},
+      {&cancelled, QueryStatus::kCancelled},
+      {&expired, QueryStatus::kExpired},
+      {&rejected, QueryStatus::kRejected},
+  };
+  for (const auto& [probe, status] : expected) {
+    SCOPED_TRACE(QueryStatusName(status));
+    EXPECT_EQ(probe->calls(), 1);
+    EXPECT_EQ(probe->result().status, status);
+  }
+  EXPECT_FALSE(miss.result().from_cache);
+  EXPECT_TRUE(hit.result().from_cache);
+}
+
+TEST(AsyncQueryServiceTest, CoalescedFollowerCallbackRunsOnce) {
+  RegisterGatedBackend();
+  Graph g = PowerlawCluster(400, 4, 0.3, 10);
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.backend.name = "gated-hk-relax";
+  CallbackProbe leader, follower;
+  {
+    AsyncQueryService service(g, TestParams(1e-5), 25, options);
+    GateReleaser releaser;
+    Gate().Arm();
+    service.SubmitTopK(17, 3, {}, leader.Callback());
+    ASSERT_TRUE(Gate().WaitEntered(1));
+    // The entry is in flight, not completed: the follower goes to a worker
+    // and parks on the leader instead of being answered inline.
+    service.SubmitTopK(17, 30, {}, follower.Callback());
+    EXPECT_EQ(follower.calls(), 0);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (service.Stats().coalesced == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(service.Stats().coalesced, 1u);
+    Gate().Release();
+    ASSERT_TRUE(follower.WaitCalled());
+  }
+  EXPECT_EQ(leader.calls(), 1);
+  EXPECT_EQ(follower.calls(), 1);
+  EXPECT_FALSE(leader.result().from_cache);
+  EXPECT_TRUE(follower.result().from_cache);
+  EXPECT_EQ(follower.result().top_k.size(), 30u);
+  EXPECT_EQ(follower.result().estimate.get(), leader.result().estimate.get());
+}
+
+TEST(AsyncQueryServiceTest, HitCompletesOnSubmittingThreadBeforeSubmitReturns) {
+  Graph g = PowerlawCluster(400, 4, 0.3, 10);
+  ServiceOptions options;
+  options.num_workers = 2;
+  AsyncQueryService service(g, TestParams(1e-5), 27, options);
+  CallbackProbe miss, hit, topk_hit;
+
+  service.SubmitTopK(17, 5, {}, miss.Callback());
+  ASSERT_TRUE(miss.WaitCalled());
+  // A miss computes on a worker.
+  EXPECT_NE(miss.thread(), std::this_thread::get_id());
+
+  service.Submit(17, {}, hit.Callback());
+  // No wait: the hit has already completed, here.
+  ASSERT_EQ(hit.calls(), 1);
+  EXPECT_EQ(hit.thread(), std::this_thread::get_id());
+  EXPECT_TRUE(hit.result().from_cache);
+  EXPECT_EQ(hit.result().estimate.get(), miss.result().estimate.get());
+
+  service.SubmitTopK(17, 3, {}, topk_hit.Callback());
+  ASSERT_EQ(topk_hit.calls(), 1);
+  EXPECT_EQ(topk_hit.thread(), std::this_thread::get_id());
+  ExpectSameRanking(topk_hit.result().top_k,
+                    TopKNormalized(g, *topk_hit.result().estimate, 3));
+
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.cache_hits, 2u);
+  EXPECT_EQ(stats.computed, 1u);
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(service.queue_depth(), 0u);
+}
+
+TEST(AsyncQueryServiceTest, InlineHitsConsumeQueryIndices) {
+  // Repeats are answered inline from the cache, yet each one still takes
+  // its query index: every fresh seed after them computes at its own
+  // position, bit-identical to the batch engine at that index.
+  Graph g = PowerlawCluster(400, 3, 0.3, 7);
+  const ApproxParams params = TestParams(1e-5);
+  const std::vector<NodeId> seeds = {1, 5, 1, 9, 5, 1, 22, 60};
+  BatchQueryEngine engine(g, params, 77, 2);
+  const auto expected = engine.EstimateBatch(seeds);
+
+  ServiceOptions options;
+  options.num_workers = 2;
+  AsyncQueryService service(g, params, 77, options);
+  std::vector<bool> seen(g.NumNodes(), false);
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    const QueryResult result = service.Submit(seeds[i]).result.get();
+    ASSERT_EQ(result.status, QueryStatus::kOk) << "query " << i;
+    EXPECT_EQ(result.from_cache, seen[seeds[i]]) << "query " << i;
+    if (!seen[seeds[i]]) ExpectSameVector(*result.estimate, expected[i]);
+    seen[seeds[i]] = true;
+  }
+  EXPECT_EQ(service.queries_accepted(), seeds.size());
+  EXPECT_EQ(service.Stats().cache_hits, 3u);
+}
+
+TEST(AsyncQueryServiceTest, FullQueueRejectsWouldBeHit) {
+  // Admission is claimed before the cache is consulted: with the queue at
+  // max_queue_depth, a query whose answer is cached is still rejected.
+  RegisterGatedBackend();
+  Graph g = PowerlawCluster(400, 4, 0.3, 10);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.max_queue_depth = 1;
+  options.backend.name = "gated-hk-relax";
+  AsyncQueryService service(g, TestParams(1e-5), 29, options);
+  GateReleaser releaser;
+
+  ASSERT_EQ(service.Submit(17).result.get().status, QueryStatus::kOk);
+  Gate().Arm();
+  QueryHandle computing = service.Submit(40);  // holds the only worker
+  ASSERT_TRUE(Gate().WaitEntered(1));
+  QueryHandle queued = service.Submit(41);  // fills the queue
+  EXPECT_EQ(service.queue_depth(), 1u);
+  const uint64_t accepted = service.queries_accepted();
+
+  CallbackProbe would_be_hit;
+  service.Submit(17, {}, would_be_hit.Callback());
+  ASSERT_EQ(would_be_hit.calls(), 1);
+  EXPECT_EQ(would_be_hit.result().status, QueryStatus::kRejected);
+  EXPECT_EQ(service.queries_accepted(), accepted);  // no index consumed
+
+  Gate().Release();
+  EXPECT_EQ(computing.result.get().status, QueryStatus::kOk);
+  EXPECT_EQ(queued.result.get().status, QueryStatus::kOk);
+  const QueryResult hit = service.Submit(17).result.get();
+  EXPECT_EQ(hit.status, QueryStatus::kOk);
+  EXPECT_TRUE(hit.from_cache);
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+}
+
+TEST(AsyncQueryServiceTest, ZeroQueueDepthRejectsBeforeTheCache) {
+  // max_queue_depth = 0 rejects every submission, and a rejected request
+  // never reaches the cache: no lookup is counted.
+  Graph g = testing::MakeComplete(8);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.max_queue_depth = 0;
+  AsyncQueryService service(g, TestParams(1e-2), 5, options);
+  CallbackProbe probe;
+  service.Submit(1, {}, probe.Callback());
+  ASSERT_EQ(probe.calls(), 1);
+  EXPECT_EQ(probe.result().status, QueryStatus::kRejected);
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
+  EXPECT_EQ(service.queries_accepted(), 0u);
+}
+
+TEST(AsyncQueryServiceTest, StaleTrySubmitNeitherCallsNorConsumesCallback) {
+  Graph g = testing::MakeComplete(8);
+  AsyncQueryService service(g, TestParams(1e-2), 5, {});
+  service.Shutdown();
+  int calls = 0;
+  QueryCallback done = [&calls](QueryResult) { ++calls; };
+  EXPECT_FALSE(service.TrySubmit(1, {}, done));
+  EXPECT_FALSE(service.TrySubmitTopK(1, 3, {}, done));
+  EXPECT_TRUE(static_cast<bool>(done));  // still ours to retry with
+  EXPECT_EQ(calls, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -660,6 +821,21 @@ TEST(ResultCacheTest, SecondRequesterCoalescesOnInFlightLeader) {
   const CachedEstimate value = follower.pending.get();
   completer.join();
   EXPECT_DOUBLE_EQ(value->estimate.Get(3), 0.25);
+}
+
+TEST(ResultCacheTest, PeekSeesOnlyCompletedEntriesAndNeverLeads) {
+  ResultCache cache(8);
+  const ResultCacheKey key = MakeKey(3);
+  EXPECT_EQ(cache.Peek(key), nullptr);  // absent
+  EXPECT_EQ(cache.size(), 0u);          // ...and no leader was registered
+  ResultCache::Lookup lead = cache.LookupOrStartCompute(key);
+  ASSERT_EQ(lead.outcome, ResultCache::Outcome::kMiss);
+  EXPECT_EQ(cache.Peek(key), nullptr);  // in flight
+  const CachedEstimate value = MakeValue(3, 0.25);
+  cache.Complete(key, lead.leader, value);
+  EXPECT_EQ(cache.Peek(key), value);
+  EXPECT_EQ(cache.LookupOrStartCompute(key).outcome,
+            ResultCache::Outcome::kHit);
 }
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedCompletedEntry) {

@@ -1,8 +1,9 @@
 // Tests for the epoll socket frontend (net/socket_server.h): partial-line
-// reassembly, strict in-order pipelining, concurrent connections, the
-// oversized-line guard, tenant QoS isolation under concurrent load, and
-// byte-for-byte parity between the socket path and direct
-// CommandProcessor execution (the stdin path).
+// reassembly, strict in-order pipelining (across cache hits, misses and a
+// hot-swapping graph load), concurrent connections, the oversized-line
+// guard, tenant QoS isolation under concurrent load, Stop() with queries
+// still computing, and byte-for-byte parity between the socket path and
+// direct CommandProcessor execution (the stdin path).
 
 #include <gtest/gtest.h>
 
@@ -14,16 +15,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/generators.h"
+#include "graph/graph_io.h"
 #include "net/command_processor.h"
 #include "net/socket_server.h"
 #include "service/graph_store.h"
 #include "service/multi_graph_service.h"
+#include "service_test_util.h"
 
 namespace hkpr {
 namespace {
@@ -99,7 +104,8 @@ class Client {
 
 class SocketServerTest : public ::testing::Test {
  protected:
-  void StartServer(SocketServerOptions net = SocketServerOptions()) {
+  void StartServer(SocketServerOptions net = SocketServerOptions(),
+                   const std::string& backend = "tea+") {
     store_.Publish("default", PowerlawCluster(500, 4, 0.3, 7));
     params_.t = 5.0;
     params_.eps_r = 0.5;
@@ -107,6 +113,7 @@ class SocketServerTest : public ::testing::Test {
     params_.p_f = 1e-6;
     MultiGraphOptions options;
     options.worker_budget = 2;
+    options.service.backend.name = backend;
     service_ = std::make_unique<MultiGraphService>(store_, params_, 7,
                                                    options);
     processor_ = std::make_unique<CommandProcessor>(store_, *service_,
@@ -347,6 +354,131 @@ TEST_F(SocketServerTest, StopUnblocksOpenConnections) {
   server_->Stop();
   EXPECT_EQ(client->ReadAll(), "");  // server closed the connection
   EXPECT_EQ(server_->connections_active(), 0u);
+}
+
+/// Writes `graph` as an edge list under the test temp dir; returns the path.
+std::string WriteEdgeListFile(const Graph& graph, const std::string& tag) {
+  const std::string path =
+      ::testing::TempDir() + "socket_server_test_" + tag + ".txt";
+  EXPECT_TRUE(SaveEdgeList(graph, path).ok());
+  return path;
+}
+
+TEST_F(SocketServerTest, StopWaitsForQueriesStillComputing) {
+  testing::RegisterGatedBackend();
+  StartServer(SocketServerOptions(), "gated-hk-relax");
+  testing::GateReleaser releaser;
+  Client client(server_->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(StartsWith(client.Command("query 1"), "ok "));  // gate open
+
+  testing::Gate().Arm();
+  client.Send("query 2\nquery 3\n");  // query 2 computes; query 3 waits
+  ASSERT_TRUE(testing::Gate().WaitEntered(1));
+  EXPECT_EQ(tenants_.StatsFor(std::string(kDefaultTenant)).in_flight, 1u);
+
+  // Stop() joins the IO thread, then waits for the held completion: it
+  // cannot return while the query computes, and does once it is let go.
+  std::future<void> stopped =
+      std::async(std::launch::async, [this] { server_->Stop(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  testing::Gate().Release();
+  ASSERT_EQ(stopped.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  stopped.get();
+
+  // The late reply was dropped with the connection, the pipelined query
+  // behind it never ran, and the tenant's quota is whole again.
+  EXPECT_EQ(client.ReadAll(), "");
+  EXPECT_EQ(server_->connections_active(), 0u);
+  const TenantStatsSnapshot tenant =
+      tenants_.StatsFor(std::string(kDefaultTenant));
+  EXPECT_EQ(tenant.in_flight, 0u);
+  EXPECT_EQ(tenant.completed, 2u);
+  // Freed with no completion outstanding: nothing may touch it later.
+  server_.reset();
+}
+
+TEST_F(SocketServerTest, PipelinedHitsMissesAndGraphLoadAnswerInOrder) {
+  StartServer();
+  const std::string path =
+      WriteEdgeListFile(PowerlawCluster(300, 3, 0.3, 11), "pipeline");
+  Client client(server_->port());
+  ASSERT_TRUE(client.connected());
+  // Misses complete on workers, hits and every other command inline on
+  // the IO thread; the replies must still come back in line order.
+  const std::vector<std::string> lines = {
+      "query 1",        // miss
+      "query 1",        // hit
+      "topk 2 5",       // miss
+      "topk 2 5",       // hit
+      "graph load default " + path,  // hot-swap: version 2
+      "query 1",        // miss on the new snapshot
+      "query 1",        // hit
+      "graph list",
+  };
+  std::string burst;
+  for (const std::string& line : lines) burst += line + "\n";
+  client.Send(burst);
+  std::vector<std::string> replies;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    replies.push_back(client.ReadLine());
+  }
+
+  const std::vector<std::string> expected = {
+      "ok graph=default version=1 seed=1 ",
+      "ok graph=default version=1 seed=1 ",
+      "ok graph=default version=1 seed=2 ",
+      "ok graph=default version=1 seed=2 ",
+      "ok graph=default version=2 nodes=300 ",
+      "ok graph=default version=2 seed=1 ",
+      "ok graph=default version=2 seed=1 ",
+      "ok graphs=1 default:v2:n300:",
+  };
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_TRUE(StartsWith(replies[i], expected[i]))
+        << "reply " << i << " to \"" << lines[i] << "\": " << replies[i];
+  }
+  const std::vector<std::string> cache = {"cache=miss", "cache=hit",
+                                          "cache=miss", "cache=hit"};
+  for (size_t i = 0; i < cache.size(); ++i) {
+    EXPECT_NE(replies[i].find(cache[i]), std::string::npos) << replies[i];
+  }
+  EXPECT_NE(replies[5].find("cache=miss"), std::string::npos) << replies[5];
+  EXPECT_NE(replies[6].find("cache=hit"), std::string::npos) << replies[6];
+}
+
+TEST_F(SocketServerTest, OtherConnectionsServedAroundGraphLoads) {
+  StartServer();
+  const std::string path =
+      WriteEdgeListFile(PowerlawCluster(2000, 3, 0.3, 12), "swap");
+  constexpr int kLoads = 5;
+  constexpr int kQueries = 200;
+  std::atomic<int> queries_ok{0};
+  std::thread querier([&] {
+    Client client(server_->port());
+    if (!client.connected()) return;
+    for (int i = 0; i < kQueries; ++i) {
+      const std::string line =
+          client.Command("topk " + std::to_string(i % 40) + " 5");
+      if (StartsWith(line, "ok graph=default ")) queries_ok.fetch_add(1);
+    }
+  });
+  Client loader(server_->port());
+  ASSERT_TRUE(loader.connected());
+  std::string burst;
+  for (int i = 0; i < kLoads; ++i) burst += "graph load side " + path + "\n";
+  loader.Send(burst);
+  for (int i = 0; i < kLoads; ++i) {
+    const std::string reply = loader.ReadLine();
+    // Store-wide versions: "default" holds 1.
+    EXPECT_TRUE(StartsWith(reply, "ok graph=side version=" +
+                                      std::to_string(i + 2) + " "))
+        << reply;
+  }
+  querier.join();
+  EXPECT_EQ(queries_ok.load(), kQueries);
 }
 
 }  // namespace
